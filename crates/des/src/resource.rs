@@ -1,10 +1,11 @@
-//! FIFO resources with busy-until semantics.
+//! Simulated resources: FIFO servers with busy-until semantics, and links
+//! and throttles that are fluid queues.
 //!
 //! The simulation style used throughout the workspace is *time-advancing
 //! tokens*: a request carries its current timestamp through a pipeline of
 //! resources; each resource returns when the request could actually start
-//! (and advances its own busy-until bookkeeping). Queueing delay — and hence
-//! tail latency under load — falls out of the bookkeeping.
+//! (and advances its own bookkeeping). Queueing delay — and hence tail
+//! latency under load — falls out of the bookkeeping.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -153,8 +154,9 @@ pub struct Transfer {
 /// A serializing bandwidth resource with propagation latency: an Ethernet
 /// port, a PCIe link, a UPI/CXL hop, or an aggregate DRAM channel.
 ///
-/// Transfers serialize in FIFO order at `bytes_per_sec`; each transfer then
-/// takes an extra `latency` to propagate.
+/// Transfers queue behind a fluid backlog that drains at `bytes_per_sec`
+/// (see [`transfer`](Self::transfer)); each transfer then takes an extra
+/// `latency` to propagate.
 ///
 /// ```
 /// use rambda_des::{Link, SimTime, Span};
@@ -171,6 +173,10 @@ pub struct Link {
     /// Fluid-queue state: outstanding bytes not yet drained at `last_time`.
     backlog_bytes: f64,
     last_time: SimTime,
+    /// The last `(bytes, serialization(bytes))` computed: callers repeat a
+    /// few fixed sizes (16 B requests, 64 B lines), so most transfers reuse
+    /// it instead of recomputing the same span.
+    last_serialization: (u64, Span),
     bytes_moved: u64,
     transfers: u64,
     busy_ps: u64,
@@ -194,6 +200,8 @@ impl Link {
             latency,
             backlog_bytes: 0.0,
             last_time: SimTime::ZERO,
+            // `serialization(0)` is zero at any bandwidth.
+            last_serialization: (0, Span::ZERO),
             bytes_moved: 0,
             transfers: 0,
             busy_ps: 0,
@@ -225,19 +233,30 @@ impl Link {
     /// requests simulated one after another), which only share bandwidth
     /// rather than strictly serializing.
     pub fn transfer(&mut self, at: SimTime, bytes: u64) -> Transfer {
-        // Drain the backlog over the elapsed simulated time.
+        // Drain the backlog over the elapsed simulated time. An empty
+        // backlog drains to exactly zero, so only the clock moves.
         if at > self.last_time {
-            let elapsed = (at - self.last_time).as_secs_f64();
-            self.backlog_bytes = (self.backlog_bytes - elapsed * self.bytes_per_sec).max(0.0);
+            if self.backlog_bytes > 0.0 {
+                let elapsed = (at - self.last_time).as_secs_f64();
+                self.backlog_bytes = (self.backlog_bytes - elapsed * self.bytes_per_sec).max(0.0);
+            }
             self.last_time = at;
         }
-        let queue_delay = Span::from_secs_f64(self.backlog_bytes / self.bytes_per_sec);
+        let queue_delay = if self.backlog_bytes > 0.0 {
+            Span::from_secs_f64(self.backlog_bytes / self.bytes_per_sec)
+        } else {
+            Span::ZERO
+        };
+        if self.last_serialization.0 != bytes {
+            self.last_serialization = (bytes, self.serialization(bytes));
+        }
+        let serialization = self.last_serialization.1;
         self.backlog_bytes += bytes as f64;
         self.bytes_moved = self.bytes_moved.saturating_add(bytes);
         self.transfers += 1;
-        self.busy_ps = self.busy_ps.saturating_add(self.serialization(bytes).as_ps());
+        self.busy_ps = self.busy_ps.saturating_add(serialization.as_ps());
         self.queue_ps = self.queue_ps.saturating_add(queue_delay.as_ps());
-        let depart = at + queue_delay + self.serialization(bytes);
+        let depart = at + queue_delay + serialization;
         Transfer { depart, arrive: depart + self.latency }
     }
 
@@ -302,6 +321,8 @@ impl Link {
 #[derive(Debug, Clone)]
 pub struct Throttle {
     gap: Span,
+    /// `gap` in seconds, the divisor of every drain.
+    gap_secs: f64,
     /// Fluid-queue state: operations admitted but not yet drained.
     backlog_ops: f64,
     last_time: SimTime,
@@ -312,7 +333,14 @@ pub struct Throttle {
 impl Throttle {
     /// Creates a throttle admitting one operation per `gap`.
     pub fn new(gap: Span) -> Self {
-        Throttle { gap, backlog_ops: 0.0, last_time: SimTime::ZERO, admitted: 0, delay_ps: 0 }
+        Throttle {
+            gap,
+            gap_secs: gap.as_secs_f64(),
+            backlog_ops: 0.0,
+            last_time: SimTime::ZERO,
+            admitted: 0,
+            delay_ps: 0,
+        }
     }
 
     /// Creates a throttle from an operations-per-second rate.
@@ -342,12 +370,16 @@ impl Throttle {
             self.admitted += 1;
             return at;
         }
+        // As in `Link::transfer`, an empty backlog stays empty and starts
+        // the operation on arrival.
         if at > self.last_time {
-            let elapsed = (at - self.last_time).as_secs_f64();
-            self.backlog_ops = (self.backlog_ops - elapsed / self.gap.as_secs_f64()).max(0.0);
+            if self.backlog_ops > 0.0 {
+                let elapsed = (at - self.last_time).as_secs_f64();
+                self.backlog_ops = (self.backlog_ops - elapsed / self.gap_secs).max(0.0);
+            }
             self.last_time = at;
         }
-        let start = at + self.gap.mul_f64(self.backlog_ops);
+        let start = if self.backlog_ops > 0.0 { at + self.gap.mul_f64(self.backlog_ops) } else { at };
         self.backlog_ops += 1.0;
         self.admitted += 1;
         self.delay_ps = self.delay_ps.saturating_add((start - at).as_ps());
@@ -533,5 +565,254 @@ mod tests {
         th.admit(SimTime::ZERO);
         th.reset();
         assert_eq!(th.admitted(), 0);
+    }
+
+    // Differential exactness: `Link` and `Throttle` against the formulas
+    // they had before their fast paths (serialization memo, zero-backlog
+    // shortcuts, the inline rounding in `Span`). Equal means equal bits,
+    // internal backlog included.
+
+    /// `Span::from_secs_f64` with the libm rounding it used to call.
+    fn reference_span(secs: f64) -> Span {
+        assert!(secs.is_finite() && secs >= 0.0);
+        Span::from_ps((secs * 1e12).round() as u64)
+    }
+
+    /// The original `Link::transfer` recurrence.
+    struct ReferenceLink {
+        bytes_per_sec: f64,
+        latency: Span,
+        backlog_bytes: f64,
+        last_time: SimTime,
+        bytes_moved: u64,
+        transfers: u64,
+        busy_ps: u64,
+        queue_ps: u64,
+    }
+
+    impl ReferenceLink {
+        fn new(bytes_per_sec: f64, latency: Span) -> Self {
+            ReferenceLink {
+                bytes_per_sec,
+                latency,
+                backlog_bytes: 0.0,
+                last_time: SimTime::ZERO,
+                bytes_moved: 0,
+                transfers: 0,
+                busy_ps: 0,
+                queue_ps: 0,
+            }
+        }
+
+        fn serialization(&self, bytes: u64) -> Span {
+            reference_span(bytes as f64 / self.bytes_per_sec)
+        }
+
+        fn transfer(&mut self, at: SimTime, bytes: u64) -> Transfer {
+            if at > self.last_time {
+                let elapsed = (at - self.last_time).as_secs_f64();
+                self.backlog_bytes = (self.backlog_bytes - elapsed * self.bytes_per_sec).max(0.0);
+                self.last_time = at;
+            }
+            let queue_delay = reference_span(self.backlog_bytes / self.bytes_per_sec);
+            self.backlog_bytes += bytes as f64;
+            self.bytes_moved = self.bytes_moved.saturating_add(bytes);
+            self.transfers += 1;
+            self.busy_ps = self.busy_ps.saturating_add(self.serialization(bytes).as_ps());
+            self.queue_ps = self.queue_ps.saturating_add(queue_delay.as_ps());
+            let depart = at + queue_delay + self.serialization(bytes);
+            Transfer { depart, arrive: depart + self.latency }
+        }
+
+        fn next_free(&self) -> SimTime {
+            self.last_time + reference_span(self.backlog_bytes / self.bytes_per_sec)
+        }
+    }
+
+    /// The original `Throttle::admit` recurrence.
+    struct ReferenceThrottle {
+        gap: Span,
+        backlog_ops: f64,
+        last_time: SimTime,
+        admitted: u64,
+        delay_ps: u64,
+    }
+
+    impl ReferenceThrottle {
+        fn new(gap: Span) -> Self {
+            ReferenceThrottle { gap, backlog_ops: 0.0, last_time: SimTime::ZERO, admitted: 0, delay_ps: 0 }
+        }
+
+        fn admit(&mut self, at: SimTime) -> SimTime {
+            if self.gap.is_zero() {
+                self.admitted += 1;
+                return at;
+            }
+            if at > self.last_time {
+                let elapsed = (at - self.last_time).as_secs_f64();
+                self.backlog_ops = (self.backlog_ops - elapsed / self.gap.as_secs_f64()).max(0.0);
+                self.last_time = at;
+            }
+            let factor = self.backlog_ops;
+            let start = at + Span::from_ps((self.gap.as_ps() as f64 * factor).round() as u64);
+            self.backlog_ops += 1.0;
+            self.admitted += 1;
+            self.delay_ps = self.delay_ps.saturating_add((start - at).as_ps());
+            start
+        }
+    }
+
+    /// The workspace's configured link bandwidths (cc-link, PCIe, 25 GbE,
+    /// DRAM, NVM, accelerator DDR/HBM, NIC DRAM, DLRM gather rooflines).
+    const BANDWIDTHS: [f64; 11] =
+        [20.8e9, 16.0e9, 25.0e9 / 8.0, 120.0e9, 39.0e9, 13.0e9, 36.0e9, 425.0e9, 25.6e9, 6.5e9, 1.0e9];
+
+    /// The workspace's configured issue gaps, plus zero.
+    fn gaps() -> [Span; 7] {
+        [
+            Span::from_ns_f64(2.5),
+            Span::from_ns(48),
+            Span::from_ns_f64(0.5),
+            Span::from_ns(6),
+            Span::from_ns(10),
+            Span::from_ps(1),
+            Span::ZERO,
+        ]
+    }
+
+    /// Next arrival in a differential sequence: forward, backward (out of
+    /// order), the same instant, exactly when the backlog drains, or just
+    /// around that instant.
+    fn next_at(prev: SimTime, drains_at: SimTime, kind: u8, delta: u64) -> SimTime {
+        match kind % 6 {
+            0 => prev + Span::from_ps(delta),
+            1 => prev - Span::from_ps(delta),
+            2 => prev,
+            3 => drains_at,
+            4 => drains_at + Span::from_ps(delta % 8),
+            _ => drains_at - Span::from_ps(delta % 8),
+        }
+    }
+
+    /// Transfer sizes: zero, the gather's fixed 16 B and 64 B, a 256 B row,
+    /// or anything up to 1 MB.
+    fn pick_bytes(choice: u64) -> u64 {
+        match choice % 6 {
+            0 => 0,
+            1 | 2 => 16,
+            3 => 64,
+            4 => 256,
+            _ => choice % 1_000_000,
+        }
+    }
+
+    fn assert_link_matches(fast: &Link, reference: &ReferenceLink) {
+        assert_eq!(fast.backlog_bytes.to_bits(), reference.backlog_bytes.to_bits());
+        assert_eq!(fast.last_time, reference.last_time);
+        assert_eq!(fast.bytes_moved(), reference.bytes_moved);
+        assert_eq!(fast.transfers(), reference.transfers);
+        assert_eq!(fast.busy_time().as_ps(), reference.busy_ps);
+        assert_eq!(fast.queue_delay_total().as_ps(), reference.queue_ps);
+        assert_eq!(fast.next_free(), reference.next_free());
+    }
+
+    fn assert_throttle_matches(fast: &Throttle, reference: &ReferenceThrottle) {
+        assert_eq!(fast.backlog_ops.to_bits(), reference.backlog_ops.to_bits());
+        assert_eq!(fast.last_time, reference.last_time);
+        assert_eq!(fast.admitted(), reference.admitted);
+        assert_eq!(fast.admit_delay_total().as_ps(), reference.delay_ps);
+    }
+
+    /// Runs one `(kind, delta, bytes)` sequence through both links.
+    fn check_link(bw: f64, latency: Span, steps: &[(u8, u64, u64)]) {
+        let mut fast = Link::new(bw, latency);
+        let mut reference = ReferenceLink::new(bw, latency);
+        let mut at = SimTime::from_ns(1);
+        for &(kind, delta, choice) in steps {
+            at = next_at(at, reference.next_free(), kind, delta);
+            let bytes = pick_bytes(choice);
+            assert_eq!(fast.serialization(bytes), reference.serialization(bytes), "bw {bw}, {bytes} B");
+            assert_eq!(
+                fast.transfer(at, bytes),
+                reference.transfer(at, bytes),
+                "bw {bw}, {bytes} B at {at:?}"
+            );
+            assert_link_matches(&fast, &reference);
+        }
+        fast.reset();
+        reference = ReferenceLink::new(bw, latency);
+        assert_link_matches(&fast, &reference);
+        // The serialization memo survives the reset and stays exact.
+        for &(_, _, choice) in steps.iter().take(8) {
+            let bytes = pick_bytes(choice);
+            assert_eq!(fast.transfer(at, bytes), reference.transfer(at, bytes));
+        }
+        assert_link_matches(&fast, &reference);
+    }
+
+    /// Runs one `(kind, delta)` sequence through both throttles.
+    fn check_throttle(gap: Span, steps: &[(u8, u64, u64)]) {
+        let mut fast = Throttle::new(gap);
+        let mut reference = ReferenceThrottle::new(gap);
+        let mut at = SimTime::from_ns(1);
+        for &(kind, delta, _) in steps {
+            let drains_at = reference.last_time
+                + Span::from_ps((gap.as_ps() as f64 * reference.backlog_ops).round() as u64);
+            at = next_at(at, drains_at, kind, delta);
+            assert_eq!(fast.admit(at), reference.admit(at), "gap {gap:?} at {at:?}");
+            assert_throttle_matches(&fast, &reference);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn link_fast_path_equals_reference(
+            steps in proptest::collection::vec((0u8..6, 0u64..200_000, proptest::prelude::any::<u64>()), 1..400),
+            which in 0usize..12,
+            random_bw in 1.0e6f64..5.0e11,
+            latency_ps in 0u64..1_000_000,
+        ) {
+            let bw = BANDWIDTHS.get(which).copied().unwrap_or(random_bw);
+            check_link(bw, Span::from_ps(latency_ps), &steps);
+        }
+
+        #[test]
+        fn throttle_fast_path_equals_reference(
+            steps in proptest::collection::vec((0u8..6, 0u64..200_000, 0u64..1), 1..400),
+            which in 0usize..8,
+            random_gap_ps in 1u64..1_000_000,
+        ) {
+            let gap = gaps().get(which).copied().unwrap_or(Span::from_ps(random_gap_ps));
+            check_throttle(gap, &steps);
+        }
+    }
+
+    /// A long gather-shaped stream: bursts of 16 B requests and 64 B lines
+    /// issued at one instant per row, rows arriving a little out of order,
+    /// with idle gaps that drain the queues to zero, on the cc-link and the
+    /// DRAM channel.
+    #[test]
+    fn gather_stream_equals_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut steps = Vec::with_capacity(200_000);
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (kind, delta) = match x % 16 {
+                0 => (0, (x >> 8) % 2_000_000), // an idle gap, often long enough to drain
+                1 => (1, (x >> 8) % 60_000),    // an earlier row
+                2..=9 => (2, 0),                // another line of the same row
+                10 => (3, 0),                   // exactly when the backlog drains
+                _ => (0, (x >> 8) % 60_000),    // the next row
+            };
+            let bytes = if x.is_multiple_of(3) { 1 } else { 3 };
+            steps.push((kind, delta, bytes));
+        }
+        for bw in [20.8e9, 120.0e9] {
+            check_link(bw, Span::from_ns(70), &steps);
+        }
+        check_throttle(Span::from_ns(48), &steps);
+        check_throttle(Span::from_ns_f64(2.5), &steps);
     }
 }

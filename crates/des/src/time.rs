@@ -20,6 +20,24 @@ const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 const PS_PER_S: u64 = 1_000_000_000_000;
 
+/// `x.round() as u64`, bit for bit, without the libm call `f64::round`
+/// compiles to on baseline x86-64.
+///
+/// Truncate, then round the remainder half away from zero. Below 2^52 the
+/// remainder `x - trunc(x)` is exact; from 2^52 up every `x` is an integer,
+/// so the remainder is zero; from 2^64 up (and at +inf) the cast saturates
+/// to `u64::MAX`, as `round() as u64` does. Negative and NaN inputs cast to
+/// 0 on both sides.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// An instant on the simulated clock, in picoseconds since simulation start.
 ///
 /// ```
@@ -142,7 +160,7 @@ impl Span {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid span seconds: {secs}");
-        Span((secs * PS_PER_S as f64).round() as u64)
+        Span(round_to_u64(secs * PS_PER_S as f64))
     }
 
     /// Creates a span from fractional nanoseconds.
@@ -152,7 +170,7 @@ impl Span {
     /// Panics if `ns` is negative or not finite.
     pub fn from_ns_f64(ns: f64) -> Self {
         assert!(ns.is_finite() && ns >= 0.0, "invalid span nanoseconds: {ns}");
-        Span((ns * PS_PER_NS as f64).round() as u64)
+        Span(round_to_u64(ns * PS_PER_NS as f64))
     }
 
     /// Raw picoseconds.
@@ -210,7 +228,7 @@ impl Span {
     /// Panics if `factor` is negative or not finite.
     pub fn mul_f64(self, factor: f64) -> Span {
         assert!(factor.is_finite() && factor >= 0.0, "invalid factor: {factor}");
-        Span((self.0 as f64 * factor).round() as u64)
+        Span(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -372,5 +390,88 @@ mod tests {
     fn sum_of_spans() {
         let total: Span = [Span::from_ns(1), Span::from_ns(2), Span::from_ns(3)].into_iter().sum();
         assert_eq!(total, Span::from_ns(6));
+    }
+
+    /// The libm rounding the float constructors used before
+    /// [`round_to_u64`]: the reference it must equal.
+    fn reference_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+    #[test]
+    fn round_to_u64_matches_libm_on_edge_cases() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.5,
+            2.5,
+            1e12 + 0.5,
+            TWO_52 - 1.5,
+            TWO_52 - 0.5,
+            TWO_52 - 0.25,
+            TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52 + 2.0,
+            18_446_744_073_709_549_568.0, // largest f64 below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            18_446_744_073_709_555_712.0, // next f64 above 2^64
+            f64::MAX,
+            f64::INFINITY,
+            f64::MAX * 2.0, // overflow to inf
+            f64::NEG_INFINITY,
+            -0.5,
+            -1.5,
+            f64::NAN,
+        ];
+        for k in [0u64, 1, 2, 3, 1_000, 123_456_789, (1 << 51) - 1] {
+            let k = k as f64;
+            cases.extend([k, k + 0.25, k + 0.5, k + 0.75]);
+        }
+        for x in cases {
+            assert_eq!(round_to_u64(x), reference_round(x), "x = {x:e} ({:#x})", x.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern, NaNs and negatives included, and the 4096
+        /// floats above it.
+        #[test]
+        fn round_to_u64_matches_libm_on_any_bits(bits in proptest::prelude::any::<u64>()) {
+            for d in 0..4096 {
+                let x = f64::from_bits(bits.wrapping_add(d));
+                proptest::prop_assert_eq!(round_to_u64(x), reference_round(x), "bits {:#x}", x.to_bits());
+            }
+        }
+
+        /// The fractional range, where the remainder decides, and the
+        /// integral range just above 2^52.
+        #[test]
+        fn round_to_u64_matches_libm_by_range(
+            small in 0.0f64..4.0,
+            mid in 0.0f64..1.0e15,
+            top in 0.0f64..4.0e15,
+            above in 0.0f64..1.0e19,
+        ) {
+            for start in [small, mid, top, TWO_52 + top, above] {
+                for d in 0..1024 {
+                    let x = f64::from_bits(start.to_bits() + d);
+                    proptest::prop_assert_eq!(round_to_u64(x), reference_round(x), "x = {x:e}");
+                }
+            }
+        }
+
+        /// The three constructors agree with their libm-rounded originals.
+        #[test]
+        fn float_constructors_match_reference(secs in 0.0f64..1.0e3, ns in 0.0f64..1.0e9, ps in 0u64..1_000_000_000_000, f in 0.0f64..64.0) {
+            proptest::prop_assert_eq!(Span::from_secs_f64(secs).as_ps(), reference_round(secs * PS_PER_S as f64));
+            proptest::prop_assert_eq!(Span::from_ns_f64(ns).as_ps(), reference_round(ns * PS_PER_NS as f64));
+            proptest::prop_assert_eq!(Span::from_ps(ps).mul_f64(f).as_ps(), reference_round(ps as f64 * f));
+        }
     }
 }

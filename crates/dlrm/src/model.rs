@@ -100,8 +100,19 @@ impl EmbeddingTable {
 /// lightweight" FC layers of Sec. VI-D).
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    /// Per layer: (weights `[out][in]`, bias `[out]`).
-    layers: Vec<(Vec<Vec<f32>>, Vec<f32>)>,
+    layers: Vec<Layer>,
+}
+
+/// One fully-connected layer.
+#[derive(Debug, Clone)]
+struct Layer {
+    inputs: usize,
+    /// Weights transposed to `[in][out]`, flat: input `i`'s weight into
+    /// output `o` sits at `i * outputs + o`, so the forward pass streams
+    /// every output of one input at once.
+    weights: Vec<f32>,
+    /// Bias `[out]`.
+    bias: Vec<f32>,
 }
 
 impl Mlp {
@@ -116,12 +127,12 @@ impl Mlp {
             .windows(2)
             .enumerate()
             .map(|(l, w)| {
-                let (input, output) = (w[0], w[1]);
-                let weights = (0..output)
-                    .map(|o| (0..input).map(|i| synth((l * 131 + o) as u64, i) * 0.1).collect())
+                let (inputs, outputs) = (w[0], w[1]);
+                let weights = (0..inputs)
+                    .flat_map(|i| (0..outputs).map(move |o| synth((l * 131 + o) as u64, i) * 0.1))
                     .collect();
-                let bias = (0..output).map(|o| synth(l as u64, o) * 0.01).collect();
-                (weights, bias)
+                let bias = (0..outputs).map(|o| synth(l as u64, o) * 0.01).collect();
+                Layer { inputs, weights, bias }
             })
             .collect();
         Mlp { layers }
@@ -139,13 +150,22 @@ impl Mlp {
     /// Panics if `input` does not match the first layer's width.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
         let mut x = input.to_vec();
-        for (l, (weights, bias)) in self.layers.iter().enumerate() {
-            assert_eq!(x.len(), weights[0].len(), "layer {l} width mismatch");
-            let mut y: Vec<f32> = weights
-                .iter()
-                .zip(bias)
-                .map(|(row, b)| row.iter().zip(&x).map(|(w, v)| w * v).sum::<f32>() + b)
-                .collect();
+        for (l, layer) in self.layers.iter().enumerate() {
+            assert_eq!(x.len(), layer.inputs, "layer {l} width mismatch");
+            // Each output is a dot product summed in input order from -0.0
+            // (the start value of f32's `Sum`), plus the bias last: the same
+            // operations on the same operands as a row-major
+            // `row.zip(x).map(w * v).sum() + b`, but vectorizable across
+            // outputs.
+            let mut y = vec![-0.0f32; layer.bias.len()];
+            for (&v, row) in x.iter().zip(layer.weights.chunks_exact(y.len())) {
+                for (acc, &w) in y.iter_mut().zip(row) {
+                    *acc += w * v;
+                }
+            }
+            for (acc, &b) in y.iter_mut().zip(&layer.bias) {
+                *acc += b;
+            }
             if l + 1 < self.layers.len() {
                 y.iter_mut().for_each(|v| *v = v.max(0.0));
             }
@@ -156,7 +176,7 @@ impl Mlp {
 
     /// Approximate multiply-accumulate count of one forward pass.
     pub fn flops(&self) -> u64 {
-        self.layers.iter().map(|(w, _)| (w.len() * w[0].len()) as u64).sum()
+        self.layers.iter().map(|layer| layer.weights.len() as u64).sum()
     }
 }
 
@@ -242,6 +262,123 @@ mod tests {
         let y = mlp.forward(&[0.5; 8]);
         assert_eq!(y.len(), 2);
         assert_eq!(mlp.flops(), 8 * 4 + 4 * 2);
+    }
+
+    /// The row-major forward pass `Mlp` had before its weights were
+    /// transposed: the reference [`Mlp::forward`] must equal bit for bit.
+    fn reference_forward(layers: &[(Vec<Vec<f32>>, Vec<f32>)], input: &[f32]) -> Vec<f32> {
+        let mut x = input.to_vec();
+        for (l, (weights, bias)) in layers.iter().enumerate() {
+            let mut y: Vec<f32> = weights
+                .iter()
+                .zip(bias)
+                .map(|(row, b)| row.iter().zip(&x).map(|(w, v)| w * v).sum::<f32>() + b)
+                .collect();
+            if l + 1 < layers.len() {
+                y.iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+            x = y;
+        }
+        x
+    }
+
+    /// `mlp`'s layers back in the old `[out][in]` layout.
+    fn row_major(mlp: &Mlp) -> Vec<(Vec<Vec<f32>>, Vec<f32>)> {
+        mlp.layers
+            .iter()
+            .map(|layer| {
+                let outputs = layer.bias.len();
+                let rows =
+                    (0..outputs).map(|o| (0..layer.inputs).map(|i| layer.weights[i * outputs + o]).collect());
+                (rows.collect(), layer.bias.clone())
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32]) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn synthetic_layout_is_the_old_row_major_weights() {
+        let mlp = Mlp::synthetic(&[64, 64, 16, 1]);
+        for (l, (rows, b)) in row_major(&mlp).iter().enumerate() {
+            for (o, row) in rows.iter().enumerate() {
+                let want: Vec<f32> = (0..row.len()).map(|i| synth((l * 131 + o) as u64, i) * 0.1).collect();
+                assert_bits_eq(row, &want);
+                assert_eq!(b[o].to_bits(), (synth(l as u64, o) * 0.01).to_bits());
+            }
+        }
+    }
+
+    /// A value stream with signed zeros, subnormals and ordinary magnitudes.
+    fn pick(x: &mut u64) -> f32 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        match *x % 8 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f32::from_bits((*x >> 40) as u32 & 0x807F_FFFF), // subnormal, either sign
+            _ => ((*x >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 4.0,
+        }
+    }
+
+    /// An output whose products and bias are all zeros keeps the sign the
+    /// sum starts from: every 2-input layer over {±0, ±1} weights and
+    /// inputs and a ±0 bias.
+    #[test]
+    fn all_zero_outputs_keep_the_reference_sign() {
+        let value = |k: usize| [0.0f32, -0.0, 1.0, -1.0][k % 4];
+        for n in 0..512 {
+            let (weights, input, bias) =
+                (vec![value(n), value(n / 4)], [value(n / 16), value(n / 64)], n / 256);
+            let mlp = Mlp { layers: vec![Layer { inputs: 2, weights, bias: vec![value(bias)] }] };
+            assert_bits_eq(&mlp.forward(&input), &reference_forward(&row_major(&mlp), &input));
+        }
+    }
+
+    proptest::proptest! {
+        /// The paper model's MLP on reduced embeddings and on inputs full
+        /// of signed zeros.
+        #[test]
+        fn forward_equals_row_major_reference(seed in proptest::prelude::any::<u64>(), dim in 1usize..80) {
+            let mlp = Mlp::synthetic(&[dim, 64, 16, 1]);
+            let reference = row_major(&mlp);
+            let mut x = seed | 1;
+            for _ in 0..16 {
+                let input: Vec<f32> = (0..dim).map(|_| pick(&mut x)).collect();
+                assert_bits_eq(&mlp.forward(&input), &reference_forward(&reference, &input));
+            }
+            let zeros = vec![-0.0f32; dim];
+            assert_bits_eq(&mlp.forward(&zeros), &reference_forward(&reference, &zeros));
+        }
+
+        /// Arbitrary shapes whose weights and biases are themselves signed
+        /// zeros often enough that outputs land on -0.0 or +0.0, which only
+        /// the `Sum` start value decides.
+        #[test]
+        fn forward_equals_reference_on_zero_heavy_layers(
+            seed in proptest::prelude::any::<u64>(),
+            widths in proptest::collection::vec(1usize..40, 2..5),
+        ) {
+            let mut x = seed | 1;
+            let layers = widths
+                .windows(2)
+                .map(|w| Layer {
+                    inputs: w[0],
+                    weights: (0..w[0] * w[1]).map(|_| pick(&mut x)).collect(),
+                    bias: (0..w[1]).map(|_| pick(&mut x)).collect(),
+                })
+                .collect();
+            let mlp = Mlp { layers };
+            let reference = row_major(&mlp);
+            for _ in 0..8 {
+                let input: Vec<f32> = (0..widths[0]).map(|_| pick(&mut x)).collect();
+                assert_bits_eq(&mlp.forward(&input), &reference_forward(&reference, &input));
+            }
+        }
     }
 
     #[test]

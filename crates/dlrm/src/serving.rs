@@ -176,13 +176,13 @@ impl DlrmWorld {
         } else {
             ReductionPlan { memo_pairs: Vec::new(), singles: q.features.clone() }
         };
-        // Functional inference (and an occasional cross-check against the
-        // naive reduction).
+        // Functional inference, and a cross-check of the first queries
+        // against the naive reduction in every build profile.
         let reduced = plan.reduce(&self.model.embedding, &self.memo);
         let score = self.model.mlp.forward(&reduced)[0];
         if self.checked < 8 {
             let naive = self.model.infer(&q.features);
-            debug_assert!(
+            assert!(
                 (score - naive).abs() < 1e-3 * naive.abs().max(1.0),
                 "memoized inference diverged: {score} vs {naive}"
             );

@@ -23,7 +23,27 @@ pub struct Zipf {
     theta: f64,
     // Precomputed constants for rejection-inversion.
     h_half: f64,
+    /// `H(n + 0.5)`, the top of the inversion interval.
+    h_n: f64,
     s: f64,
+}
+
+/// `x.round()`, bit for bit, without the libm call it compiles to on
+/// baseline x86-64. For `0 < x < 2^52` the remainder after truncation is
+/// exact, so rounding half away from zero is one compare; every other input
+/// takes `f64::round`.
+#[inline]
+fn round(x: f64) -> f64 {
+    if x > 0.0 && x < 4_503_599_627_370_496.0 {
+        let t = x as u64 as f64;
+        if x - t >= 0.5 {
+            t + 1.0
+        } else {
+            t
+        }
+    } else {
+        x.round()
+    }
 }
 
 impl Zipf {
@@ -38,8 +58,9 @@ impl Zipf {
         assert!(theta.is_finite() && theta >= 0.0, "bad exponent {theta}");
         let h = |x: f64| -> f64 { Self::h_static(x, theta) };
         let h_half = h(0.5);
+        let h_n = h(n as f64 + 0.5);
         let s = 2.0 - Self::h_inv_static(h(2.5) - Self::pow_theta(2.0, theta), theta);
-        Zipf { n, theta, h_half, s }
+        Zipf { n, theta, h_half, h_n, s }
     }
 
     /// Number of ranks.
@@ -89,11 +110,10 @@ impl Zipf {
             return rng.gen_range(0..self.n);
         }
         let n = self.n as f64;
-        let h_n = self.h(n + 0.5);
         loop {
-            let u = self.h_half + rng.f64() * (h_n - self.h_half);
+            let u = self.h_half + rng.f64() * (self.h_n - self.h_half);
             let x = self.h_inv(u);
-            let k = x.round().clamp(1.0, n);
+            let k = round(x).clamp(1.0, n);
             // Acceptance test.
             if k - x <= self.s || u >= self.h(k + 0.5) - Self::pow_theta(k, self.theta) {
                 return k as u64 - 1;
@@ -204,5 +224,83 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_panics() {
         let _ = Zipf::new(0, 0.9);
+    }
+
+    /// `Zipf::sample` before `H(n + 0.5)` moved into `new` and the inline
+    /// rounding replaced `f64::round`: the reference stream.
+    fn reference_sample(z: &Zipf, rng: &mut SimRng) -> u64 {
+        if z.theta == 0.0 {
+            return rng.gen_range(0..z.n);
+        }
+        let n = z.n as f64;
+        let h_n = z.h(n + 0.5);
+        loop {
+            let u = z.h_half + rng.f64() * (h_n - z.h_half);
+            let x = z.h_inv(u);
+            let k = x.round().clamp(1.0, n);
+            if k - x <= z.s || u >= z.h(k + 0.5) - Zipf::pow_theta(k, z.theta) {
+                return k as u64 - 1;
+            }
+        }
+    }
+
+    #[test]
+    fn round_matches_libm() {
+        let two_52 = 4_503_599_627_370_496.0;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            2.5,
+            two_52 - 0.5,
+            two_52,
+            two_52 + 2.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -2.5,
+            f64::NAN,
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cases.push(f64::from_bits(x));
+            cases.push((x >> 11) as f64 / (1u64 << 20) as f64);
+        }
+        for v in cases {
+            assert_eq!(round(v).to_bits(), v.round().to_bits(), "{v:e}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Sample streams equal the reference's for the uniform case, the
+        /// paper's skews, and θ = 1 (the log branch of H).
+        #[test]
+        fn sample_stream_equals_reference(seed in proptest::prelude::any::<u64>(), n in 1u64..200_000_000) {
+            for theta in [0.0, 0.5, 0.75, 0.8, 0.85, 0.9, 0.99, 1.0, 1.2] {
+                let z = Zipf::new(n, theta);
+                let (mut fast, mut reference) = (SimRng::seed(seed), SimRng::seed(seed));
+                for _ in 0..256 {
+                    proptest::prop_assert_eq!(z.sample(&mut fast), reference_sample(&z, &mut reference));
+                }
+                proptest::prop_assert_eq!(fast.gen_range(0..u64::MAX), reference.gen_range(0..u64::MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn dlrm_pair_stream_equals_reference() {
+        // Each DLRM profile's pair sampler at paper scale (262 144 rows).
+        for profile in crate::DlrmProfile::all() {
+            let z = Zipf::new(131_072, profile.zipf_theta);
+            let (mut fast, mut reference) = (SimRng::seed(21), SimRng::seed(21));
+            for _ in 0..50_000 {
+                assert_eq!(z.sample(&mut fast), reference_sample(&z, &mut reference), "{}", profile.name);
+            }
+        }
     }
 }
