@@ -579,12 +579,11 @@ mod tests {
         // into exactly the order a single queue would have popped.
         let mut single = EventQueue::new();
         let mut parts: [EventQueue<u64>; 2] = [EventQueue::new(), EventQueue::new()];
-        let mut seq = 0u64;
         for i in 0..64u64 {
             let at = SimTime::from_ns(i / 8); // plenty of same-time ties
             single.push(at, i);
-            parts[(i % 2) as usize].push_kind_at_seq(at, EventKind(0), seq, i);
-            seq += 1;
+            // The global sequence number is the push index.
+            parts[(i % 2) as usize].push_kind_at_seq(at, EventKind(0), i, i);
         }
         let serial: Vec<u64> = std::iter::from_fn(|| single.pop().map(|(_, e)| e)).collect();
         let mut merged = Vec::new();

@@ -19,6 +19,8 @@
 
 pub mod chain;
 pub mod designs;
+#[cfg(test)]
+mod reference;
 pub mod store;
 
 pub use chain::{Chain, ConcurrencyControl, TxnOutcome, TxnWrite};
