@@ -7,8 +7,8 @@
 //! 3. Unsignaled WQEs: CQE traffic with and without selective signaling.
 //! 4. Doorbell batching alone (Rambda KVS batch 1 vs 32 — also in Fig. 10).
 
-use rambda::micro::{run_rambda, MicroParams};
-use rambda::Testbed;
+use rambda::micro::MicroParams;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::{AccelConfig, AccelEngine, DataLocation};
 use rambda_bench::{mops, ratio, Table};
 use rambda_coherence::{CcConfig, CpollChecker};
@@ -40,9 +40,15 @@ fn cpoll_scaling() {
 fn hardened_controller() {
     let tb = Testbed::default();
     let p = MicroParams { requests: 60_000, ..MicroParams::paper() };
-    let soft = run_rambda(&tb, p, DataLocation::HostDram, true, 1).throughput_mops();
+    let micro_mops = |tb: &Testbed| {
+        SimBuilder::new(Design::micro_rambda(p, DataLocation::HostDram, true, 1))
+            .config(tb)
+            .run()
+            .throughput_mops()
+    };
+    let soft = micro_mops(&tb);
     let tb_hard = Testbed { cc: CcConfig::hardened(), ..Testbed::default() };
-    let hard = run_rambda(&tb_hard, p, DataLocation::HostDram, true, 1).throughput_mops();
+    let hard = micro_mops(&tb_hard);
 
     // DLRM-style gather rate, soft vs hardened.
     let gather_rate = |cc: CcConfig| {
@@ -93,8 +99,7 @@ fn unsignaled_wqes() {
 }
 
 fn network_scaling() {
-    use rambda_kvs::designs::{run_cpu as kvs_cpu, run_rambda as kvs_rambda};
-    use rambda_kvs::KvsParams;
+    use rambda_kvs::{KvsDesigns, KvsParams};
 
     let p = KvsParams { requests: 40_000, ..KvsParams::quick() };
     let mut table = Table::new(
@@ -103,8 +108,9 @@ fn network_scaling() {
     );
     for gbps in [25.0, 50.0, 100.0, 400.0] {
         let tb = Testbed::default().with_network_gbps(gbps);
-        let cpu = kvs_cpu(&tb, &p).throughput_mops();
-        let rambda = kvs_rambda(&tb, &p, DataLocation::HostDram).throughput_mops();
+        let mops_of = |design: Design| SimBuilder::new(design).config(&tb).run().throughput_mops();
+        let cpu = mops_of(Design::kvs_cpu(p.clone()));
+        let rambda = mops_of(Design::kvs_rambda(p.clone(), DataLocation::HostDram));
         table.row(vec![format!("{gbps:.0} GbE"), mops(cpu), mops(rambda), ratio(rambda / cpu)]);
     }
     table.print();

@@ -5,23 +5,28 @@
 //! 8 cores; cpoll adds ~20 %; Rambda-LD/LH add a further ~2.1×/~2.7×; on
 //! NVM, adaptive DDIO beats always-on DDIO by ~20 %.
 
-use rambda::micro::{run_cpu, run_rambda, run_rambda_always_ddio, MicroParams};
-use rambda::Testbed;
+use rambda::micro::MicroParams;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::{mops, ratio, Table};
 
 fn main() {
     let tb = Testbed::default();
     let p = MicroParams { requests: 120_000, ..MicroParams::paper() };
+    let mops_of = |design: Design| SimBuilder::new(design).config(&tb).run().throughput_mops();
+    let cpu = |p: MicroParams, cores: usize| mops_of(Design::micro_cpu(p, cores, 16));
+    let rambda = |p: MicroParams, location: DataLocation, cpoll: bool| {
+        mops_of(Design::micro_rambda(p, location, cpoll, 1))
+    };
 
     // DRAM panel (normalized to one core, as in the paper).
-    let c1 = run_cpu(&tb, p, 1, 16).throughput_mops();
-    let c8 = run_cpu(&tb, p, 8, 16).throughput_mops();
-    let c16 = run_cpu(&tb, p, 16, 16).throughput_mops();
-    let polling = run_rambda(&tb, p, DataLocation::HostDram, false, 1).throughput_mops();
-    let cpoll = run_rambda(&tb, p, DataLocation::HostDram, true, 1).throughput_mops();
-    let ld = run_rambda(&tb, p, DataLocation::LocalDdr, true, 1).throughput_mops();
-    let lh = run_rambda(&tb, p, DataLocation::LocalHbm, true, 1).throughput_mops();
+    let c1 = cpu(p, 1);
+    let c8 = cpu(p, 8);
+    let c16 = cpu(p, 16);
+    let polling = rambda(p, DataLocation::HostDram, false);
+    let cpoll = rambda(p, DataLocation::HostDram, true);
+    let ld = rambda(p, DataLocation::LocalDdr, true);
+    let lh = rambda(p, DataLocation::LocalHbm, true);
 
     let mut dram = Table::new(
         "Fig. 7 (DRAM) — microbenchmark throughput (normalized to 1 core)",
@@ -48,11 +53,11 @@ fn main() {
 
     // NVM panel (normalized to Rambda-DDIO, as in the paper).
     let pn = p.with_nvm();
-    let n_c8 = run_cpu(&tb, pn, 8, 16).throughput_mops();
-    let n_c16 = run_cpu(&tb, pn, 16, 16).throughput_mops();
-    let n_polling = run_rambda(&tb, pn, DataLocation::HostDram, false, 1).throughput_mops();
-    let n_ddio = run_rambda_always_ddio(&tb, pn, true, 1).throughput_mops();
-    let n_adaptive = run_rambda(&tb, pn, DataLocation::HostDram, true, 1).throughput_mops();
+    let n_c8 = cpu(pn, 8);
+    let n_c16 = cpu(pn, 16);
+    let n_polling = rambda(pn, DataLocation::HostDram, false);
+    let n_ddio = mops_of(Design::micro_rambda_always_ddio(pn, true, 1));
+    let n_adaptive = rambda(pn, DataLocation::HostDram, true);
 
     let mut nvm = Table::new(
         "Fig. 7 (NVM) — microbenchmark throughput (normalized to Rambda-DDIO)",

@@ -6,14 +6,14 @@
 //! the uniform distribution; LD/LH match Rambda (the network is the limit);
 //! the 50/50 PUT workload changes little (MICA-style partitioning).
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::{mops, Table};
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
-use rambda_kvs::{KvsParams, KvsWorkload};
+use rambda_kvs::{KvsDesigns, KvsParams, KvsWorkload};
 
 fn main() {
     let tb = Testbed::default();
+    let mops_of = |design: Design| SimBuilder::new(design).config(&tb).run().throughput_mops();
     let base = KvsParams { requests: 100_000, ..KvsParams::paper() };
 
     let mut table = Table::new(
@@ -24,11 +24,11 @@ fn main() {
         for (dist_name, zipf) in [("uniform", None), ("zipf0.9", Some(0.9))] {
             let mut p = base.clone().with_workload(workload);
             p.zipf = zipf;
-            let cpu = run_cpu(&tb, &p).throughput_mops();
-            let snic = run_smartnic(&tb, &p).throughput_mops();
-            let rambda = run_rambda(&tb, &p, DataLocation::HostDram).throughput_mops();
-            let ld = run_rambda(&tb, &p, DataLocation::LocalDdr).throughput_mops();
-            let lh = run_rambda(&tb, &p, DataLocation::LocalHbm).throughput_mops();
+            let cpu = mops_of(Design::kvs_cpu(p.clone()));
+            let snic = mops_of(Design::kvs_smartnic(p.clone()));
+            let rambda = mops_of(Design::kvs_rambda(p.clone(), DataLocation::HostDram));
+            let ld = mops_of(Design::kvs_rambda(p.clone(), DataLocation::LocalDdr));
+            let lh = mops_of(Design::kvs_rambda(p, DataLocation::LocalHbm));
             let wl = match workload {
                 KvsWorkload::ReadIntensive => "100% GET",
                 KvsWorkload::WriteIntensive => "50/50",

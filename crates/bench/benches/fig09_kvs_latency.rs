@@ -6,14 +6,14 @@
 //! UPI data-path penalty (tail latency inapplicable for them, as in the
 //! paper — their latency is emulated from averages).
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::{us, Table};
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
-use rambda_kvs::KvsParams;
+use rambda_kvs::{KvsDesigns, KvsParams};
 
 fn main() {
     let tb = Testbed::default();
+    let run = |design: Design| SimBuilder::new(design).config(&tb).run();
     let mut base = KvsParams { requests: 100_000, ..KvsParams::paper() };
     base.window = 2; // light load: measure service latency, not saturation
 
@@ -22,12 +22,12 @@ fn main() {
     for (dist_name, zipf) in [("uniform", None), ("zipf0.9", Some(0.9))] {
         let mut p = base.clone();
         p.zipf = zipf;
-        let cpu = run_cpu(&tb, &p);
-        let snic = run_smartnic(&tb, &p);
-        let rambda = run_rambda(&tb, &p, DataLocation::HostDram);
-        let ld = run_rambda(&tb, &p, DataLocation::LocalDdr);
-        let lh = run_rambda(&tb, &p, DataLocation::LocalHbm);
-        for (name, stats, tail_ok) in [
+        let cpu = run(Design::kvs_cpu(p.clone()));
+        let snic = run(Design::kvs_smartnic(p.clone()));
+        let rambda = run(Design::kvs_rambda(p.clone(), DataLocation::HostDram));
+        let ld = run(Design::kvs_rambda(p.clone(), DataLocation::LocalDdr));
+        let lh = run(Design::kvs_rambda(p, DataLocation::LocalHbm));
+        for (name, report, tail_ok) in [
             ("CPU", &cpu, true),
             ("SmartNIC", &snic, true),
             ("Rambda", &rambda, true),
@@ -37,8 +37,8 @@ fn main() {
             table.row(vec![
                 name.into(),
                 dist_name.into(),
-                us(stats.mean_us()),
-                if tail_ok { us(stats.p99_us()) } else { "n/a".into() },
+                us(report.mean_us()),
+                if tail_ok { us(report.p99_us()) } else { "n/a".into() },
             ]);
         }
     }

@@ -6,14 +6,14 @@
 //! latency grows *sub-linearly* with batch (it never waits to fill a
 //! batch), unlike the baselines.
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::{mops, us, Table};
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
-use rambda_kvs::KvsParams;
+use rambda_kvs::{KvsDesigns, KvsParams};
 
 fn main() {
     let tb = Testbed::default();
+    let run = |design: Design| SimBuilder::new(design).config(&tb).run();
     let mut table = Table::new(
         "Fig. 10 — batch-size sweep, 100% GET, zipf 0.9",
         &["batch", "CPU Mops", "CPU us", "CPU(2c) Mops", "SNIC Mops", "SNIC us", "Rambda Mops", "Rambda us"],
@@ -22,10 +22,10 @@ fn main() {
         let p = KvsParams { requests: 60_000, ..KvsParams::quick() }.with_zipf(0.9).with_batch(batch);
         let mut p2 = p.clone();
         p2.cores = 2; // per-core batching effect (10 cores stay network-bound)
-        let cpu = run_cpu(&tb, &p);
-        let cpu2 = run_cpu(&tb, &p2);
-        let snic = run_smartnic(&tb, &p);
-        let rambda = run_rambda(&tb, &p, DataLocation::HostDram);
+        let cpu = run(Design::kvs_cpu(p.clone()));
+        let cpu2 = run(Design::kvs_cpu(p2));
+        let snic = run(Design::kvs_smartnic(p.clone()));
+        let rambda = run(Design::kvs_rambda(p, DataLocation::HostDram));
         table.row(vec![
             batch.to_string(),
             mops(cpu.throughput_mops()),

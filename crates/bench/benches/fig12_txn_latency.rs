@@ -6,13 +6,14 @@
 //! HyperLoop issues one chain round per KV pair while Rambda issues one
 //! combined near-data transaction.
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_bench::{ratio, us, Table};
-use rambda_txn::{run_hyperloop, run_rambda_tx, TxnParams};
+use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
 fn main() {
     let tb = Testbed::default();
+    let run = |design: Design| SimBuilder::new(design).config(&tb).run();
     let mut table = Table::new(
         "Fig. 12 — transaction latency (us), 2-replica chain",
         &["txn (r,w)", "value", "HL avg", "HL p99", "Rambda avg", "Rambda p99", "avg saving"],
@@ -20,8 +21,8 @@ fn main() {
     for value in [64u32, 1024] {
         for spec in [TxnSpec::single_write(value), TxnSpec::read_write(value)] {
             let p = TxnParams { txns: 20_000, ..TxnParams::paper(spec) };
-            let hl = run_hyperloop(&tb, &p);
-            let rt = run_rambda_tx(&tb, &p);
+            let hl = run(Design::txn_hyperloop(p.clone()));
+            let rt = run(Design::txn_rambda_tx(p));
             table.row(vec![
                 format!("({},{})", spec.reads, spec.writes),
                 format!("{value}B"),

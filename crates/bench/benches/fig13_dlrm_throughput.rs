@@ -7,15 +7,15 @@
 //! level; Rambda-LH exceeds the CPU until the RDMA network becomes the
 //! limit.
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::{mops, Table};
-use rambda_dlrm::serving::{run_cpu, run_rambda};
-use rambda_dlrm::DlrmParams;
+use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_workloads::DlrmProfile;
 
 fn main() {
     let tb = Testbed::default();
+    let mops_of = |design: Design| mops(SimBuilder::new(design).config(&tb).run().throughput_mops());
     let mut table = Table::new(
         "Fig. 13 — DLRM (MERCI) inference throughput (Mq/s)",
         &["dataset", "CPUx1", "CPUx2", "CPUx4", "CPUx8", "CPUx16", "Rambda", "LD", "LH"],
@@ -25,10 +25,10 @@ fn main() {
         let name = p.profile.name;
         let mut cells = vec![name.to_string()];
         for cores in [1usize, 2, 4, 8, 16] {
-            cells.push(mops(run_cpu(&tb, &p, cores).throughput_mops()));
+            cells.push(mops_of(Design::dlrm_cpu(p.clone(), cores)));
         }
         for loc in [DataLocation::HostDram, DataLocation::LocalDdr, DataLocation::LocalHbm] {
-            cells.push(mops(run_rambda(&tb, &p, loc).throughput_mops()));
+            cells.push(mops_of(Design::dlrm_rambda(p.clone(), loc)));
         }
         table.row(cells);
     }

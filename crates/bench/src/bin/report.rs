@@ -11,10 +11,10 @@
 //! slowest requests, default 10).
 //!
 //! With `--profile <dir>` it runs one quick-mode runner (`--profile-runner
-//! <name|all>`, default `kvs.rambda`) with both profiler sides attached and
-//! writes `<name>.profile.json` (deterministic: event-core telemetry,
-//! critical-path/parallelism analysis, lookahead bounds) plus a shared
-//! `host.folded` (wall-clock flamegraph input, non-deterministic).
+//! <name|all>`, default `kvs.rambda`) in profile mode and writes
+//! `<name>.profile.json` (the profiled run report, event-core section
+//! included; deterministic) plus a shared `host.folded` (wall-clock
+//! flamegraph input, non-deterministic).
 //!
 //! With `--scopes <name|all>` it runs the selected quick-mode runner(s)
 //! under the scoped-metrics registry (DESIGN.md §15) and prints each
@@ -28,25 +28,24 @@
 //! fabric. In headline mode this prints a clean-vs-lossy comparison of the
 //! KVS Rambda design (recovery counters, tail cost); in trace mode the
 //! traced runner(s) execute under the lossy plan and the fault/retransmit
-//! events land in the exported artifacts.
+//! events land in the exported artifacts. The profile and scoped modes take
+//! no fault plan, so `--loss` there is rejected.
 
 use std::fs;
 use std::process::exit;
 
 use rambda::designs::RUNNER_NAMES;
-use rambda::micro::{run_rambda as micro_rambda, run_rambda_always_ddio, MicroParams};
-use rambda::{Design, Execution, SimBuilder, Testbed};
+use rambda::micro::MicroParams;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::Table;
-use rambda_dlrm::serving as dlrm;
-use rambda_dlrm::DlrmParams;
+use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_fabric::FaultConfig;
-use rambda_kvs::designs as kvs;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{Json, RunReport, ScopeConfig};
 use rambda_power::{kop_per_watt, Design as PowerDesign, PowerConfig};
-use rambda_trace::{profile_json, HostProf, Tracer};
-use rambda_txn::{run_hyperloop, run_rambda_tx, TxnDesigns, TxnParams};
+use rambda_trace::{HostProf, Tracer};
+use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
 /// Seed for the `--loss` fault plan — fixed so repeated invocations are
@@ -57,15 +56,14 @@ fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
     eprintln!("              [--profile <dir>] [--profile-runner <name|all>]");
     eprintln!("              [--scopes <name|all>] [--scopes-out <dir>]");
-    eprintln!("              [--report-out <dir>] [--report-runner <name|all>] [--workers <n>]");
     eprintln!("runners: {}", RUNNER_NAMES.join(", "));
     exit(2);
 }
 
 /// Fail-fast runner-name validation shared by `--trace-runner`,
-/// `--profile-runner`, `--scopes`, and `--report-runner`: rejects an
-/// unknown name with the valid-runner listing before any runner executes
-/// or any output directory is created.
+/// `--profile-runner` and `--scopes`: rejects an unknown name with the
+/// valid-runner listing before any runner executes or any output directory
+/// is created.
 fn check_runner(flag: &str, name: &str) {
     if let Err(e) = rambda::designs::check_runner(name) {
         eprintln!("{e} (for {flag})");
@@ -83,12 +81,8 @@ fn main() {
     let mut profile_flags_seen = false;
     let mut scopes_runner: Option<String> = None;
     let mut scopes_out: Option<String> = None;
-    let mut report_out: Option<String> = None;
-    let mut report_runner = "kvs.rambda".to_string();
-    let mut report_flags_seen = false;
-    let mut workers = 1usize;
     let mut worst = 10usize;
-    let mut loss = 0.0f64;
+    let mut loss: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         let value = |i: usize| args.get(i + 1).cloned().unwrap_or_else(|| usage());
@@ -124,25 +118,13 @@ fn main() {
                 scopes_out = Some(value(i));
                 i += 2;
             }
-            "--report-out" => {
-                report_out = Some(value(i));
-                i += 2;
-            }
-            "--report-runner" => {
-                report_runner = value(i);
-                report_flags_seen = true;
-                i += 2;
-            }
-            "--workers" => {
-                workers = value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--loss" => {
-                loss = value(i).parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&loss) {
+                let rate: f64 = value(i).parse().unwrap_or_else(|_| usage());
+                if !(0.0..=1.0).contains(&rate) {
                     eprintln!("--loss must be a probability in [0, 1]");
                     exit(2);
                 }
+                loss = Some(rate);
                 i += 2;
             }
             _ => usage(),
@@ -152,7 +134,6 @@ fn main() {
     // or any output directory is created.
     check_runner("--trace-runner", &runner);
     check_runner("--profile-runner", &profile_runner);
-    check_runner("--report-runner", &report_runner);
     if let Some(name) = &scopes_runner {
         check_runner("--scopes", name);
     }
@@ -168,40 +149,31 @@ fn main() {
         eprintln!("--scopes-out has no effect without --scopes <name|all>");
         exit(2);
     }
-    if report_flags_seen && report_out.is_none() {
-        eprintln!("--report-runner has no effect without --report-out <dir>");
+    let modes = [scopes_runner.is_some(), trace_dir.is_some(), profile_dir.is_some()];
+    if modes.iter().filter(|&&m| m).count() > 1 {
+        eprintln!("--trace, --profile, and --scopes are mutually exclusive — pick one export mode");
         exit(2);
     }
-    let modes = [scopes_runner.is_some(), trace_dir.is_some(), profile_dir.is_some(), report_out.is_some()];
-    if modes.iter().filter(|&&m| m).count() > 1 {
+    if loss.is_some() && (profile_dir.is_some() || scopes_runner.is_some()) {
         eprintln!(
-            "--trace, --profile, --scopes, and --report-out are mutually exclusive — pick one export mode"
+            "--loss has no effect with --profile or --scopes (it applies to the headline run and --trace)"
         );
         exit(2);
     }
 
-    // The execution mode every SimBuilder run in the export modes uses:
-    // serial by default, the conservative parallel executor with
-    // `--workers <n>` (n >= 2). RunReports are byte-identical either way —
-    // that is exactly what the CI parallel-smoke job cross-checks.
-    let execution = if workers >= 2 { Execution::Conservative { workers } } else { Execution::Serial };
-
     let tb = Testbed::default();
+    let loss = loss.unwrap_or(0.0);
     let faults = FaultConfig::lossy(FAULT_SEED, loss);
     if let Some(dir) = trace_dir {
-        trace_exports(&tb, &dir, &runner, worst, &faults, execution);
+        trace_exports(&tb, &dir, &runner, worst, &faults);
         return;
     }
     if let Some(dir) = profile_dir {
-        profile_exports(&tb, &dir, &profile_runner, execution);
+        profile_exports(&tb, &dir, &profile_runner);
         return;
     }
     if let Some(name) = scopes_runner {
-        scopes_exports(&tb, &name, scopes_out.as_deref(), execution);
-        return;
-    }
-    if let Some(dir) = report_out {
-        report_exports(&tb, &dir, &report_runner, execution);
+        scopes_exports(&tb, &name, scopes_out.as_deref());
         return;
     }
     if faults.is_active() {
@@ -213,11 +185,13 @@ fn main() {
         &["claim", "paper", "measured"],
     );
 
+    let run = |design: Design| SimBuilder::new(design).config(&tb).run();
+
     // Microbenchmark: cpoll gain, local-memory gain, adaptive DDIO.
     let mp = MicroParams { requests: 60_000, ..MicroParams::paper() };
-    let polling = micro_rambda(&tb, mp, DataLocation::HostDram, false, 1).throughput_mops();
-    let cpoll = micro_rambda(&tb, mp, DataLocation::HostDram, true, 1).throughput_mops();
-    let lh = micro_rambda(&tb, mp, DataLocation::LocalHbm, true, 1).throughput_mops();
+    let polling = run(Design::micro_rambda(mp, DataLocation::HostDram, false, 1)).throughput_mops();
+    let cpoll = run(Design::micro_rambda(mp, DataLocation::HostDram, true, 1)).throughput_mops();
+    let lh = run(Design::micro_rambda(mp, DataLocation::LocalHbm, true, 1)).throughput_mops();
     t.row(vec![
         "cpoll over spin-polling".into(),
         "+21.6%".into(),
@@ -225,8 +199,8 @@ fn main() {
     ]);
     t.row(vec!["Rambda-LH over Rambda (micro)".into(), "~2.66x".into(), format!("{:.2}x", lh / cpoll)]);
     let mn = mp.with_nvm();
-    let adaptive = micro_rambda(&tb, mn, DataLocation::HostDram, true, 1).throughput_mops();
-    let ddio = run_rambda_always_ddio(&tb, mn, true, 1).throughput_mops();
+    let adaptive = run(Design::micro_rambda(mn, DataLocation::HostDram, true, 1)).throughput_mops();
+    let ddio = run(Design::micro_rambda_always_ddio(mn, true, 1)).throughput_mops();
     t.row(vec![
         "adaptive DDIO on NVM".into(),
         "~+20%".into(),
@@ -235,8 +209,8 @@ fn main() {
 
     // KVS: throughput edge, tail latency, power efficiency.
     let kp = KvsParams { requests: 60_000, ..KvsParams::quick() };
-    let cpu = kvs::run_cpu(&tb, &kp);
-    let rambda = kvs::run_rambda(&tb, &kp, DataLocation::HostDram);
+    let cpu = run(Design::kvs_cpu(kp.clone()));
+    let rambda = run(Design::kvs_rambda(kp.clone(), DataLocation::HostDram));
     t.row(vec![
         "KVS throughput vs CPU".into(),
         "+2.3-8.3%".into(),
@@ -244,8 +218,8 @@ fn main() {
     ]);
     let mut lat = kp.clone();
     lat.window = 2;
-    let cpu_l = kvs::run_cpu(&tb, &lat);
-    let rambda_l = kvs::run_rambda(&tb, &lat, DataLocation::HostDram);
+    let cpu_l = run(Design::kvs_cpu(lat.clone()));
+    let rambda_l = run(Design::kvs_rambda(lat, DataLocation::HostDram));
     t.row(vec![
         "KVS p99 vs CPU".into(),
         "-30.1%".into(),
@@ -262,8 +236,8 @@ fn main() {
 
     // Transactions: (4,2) latency saving.
     let tp = TxnParams::quick(TxnSpec::read_write(64));
-    let hl = run_hyperloop(&tb, &tp);
-    let rt = run_rambda_tx(&tb, &tp);
+    let hl = run(Design::txn_hyperloop(tp.clone()));
+    let rt = run(Design::txn_rambda_tx(tp));
     t.row(vec![
         "TX (4,2) avg latency saving".into(),
         "63.2-66.8%".into(),
@@ -272,10 +246,10 @@ fn main() {
 
     // DLRM (Books): prototype penalty and LH gain.
     let dp = DlrmParams { queries: 10_000, ..DlrmParams::quick(DlrmProfile::by_name("Books").unwrap()) };
-    let c1 = dlrm::run_cpu(&tb, &dp, 1).throughput_mops();
-    let c8 = dlrm::run_cpu(&tb, &dp, 8).throughput_mops();
-    let r = dlrm::run_rambda(&tb, &dp, DataLocation::HostDram).throughput_mops();
-    let dlh = dlrm::run_rambda(&tb, &dp, DataLocation::LocalHbm).throughput_mops();
+    let c1 = run(Design::dlrm_cpu(dp.clone(), 1)).throughput_mops();
+    let c8 = run(Design::dlrm_cpu(dp.clone(), 8)).throughput_mops();
+    let r = run(Design::dlrm_rambda(dp.clone(), DataLocation::HostDram)).throughput_mops();
+    let dlh = run(Design::dlrm_rambda(dp, DataLocation::LocalHbm)).throughput_mops();
     t.row(vec!["DLRM Rambda vs 1 core".into(), "19.7-31.3%".into(), format!("{:.1}%", r / c1 * 100.0)]);
     t.row(vec!["DLRM Rambda-LH vs 8 cores".into(), "1.6-3.1x".into(), format!("{:.2}x", dlh / c8)]);
 
@@ -283,14 +257,9 @@ fn main() {
 
     // Per-stage latency breakdowns from the observability layer: where do
     // the microseconds go on each design's critical path?
-    let micro_report =
-        SimBuilder::new(Design::micro_rambda(MicroParams::quick(), DataLocation::HostDram, true, 1))
-            .config(&tb)
-            .run();
-    let kvs_report =
-        SimBuilder::new(Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram)).config(&tb).run();
-    let txn_report =
-        SimBuilder::new(Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64)))).config(&tb).run();
+    let micro_report = run(Design::micro_rambda(MicroParams::quick(), DataLocation::HostDram, true, 1));
+    let kvs_report = run(Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram));
+    let txn_report = run(Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64))));
     for report in [&micro_report, &kvs_report, &txn_report] {
         print_breakdown(report);
     }
@@ -309,26 +278,6 @@ fn design_for(name: &str) -> Design {
         eprintln!("unknown runner {name}");
         usage()
     })
-}
-
-/// Runs the selected runner(s) under `execution`, validates each report,
-/// and writes `<name>.report.json` — the full deterministic run report.
-/// CI's parallel-smoke job byte-compares these exports across
-/// `--workers 1` and `--workers 2` to prove the conservative executor
-/// changes nothing observable.
-fn report_exports(tb: &Testbed, dir: &str, runner: &str, execution: Execution) {
-    fs::create_dir_all(dir).expect("create report output dir");
-    let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
-    for name in names {
-        let report = SimBuilder::new(design_for(name)).config(tb).execution(execution).run();
-        report.validate().expect("inconsistent run report");
-        assert_eq!(report.execution, execution.label(), "report must record its execution mode");
-        fs::write(format!("{dir}/{name}.report.json"), report.to_json_string()).expect("write run report");
-        println!(
-            "{name}: {} completions under {} -> {dir}/{name}.report.json",
-            report.completed, report.execution
-        );
-    }
 }
 
 /// Sums every counter whose name ends with `suffix` (the same reduction
@@ -391,24 +340,13 @@ fn fault_quickstart(tb: &Testbed, faults: &FaultConfig, loss: f64) {
 /// Runs the selected runner(s) with tracing, self-validates the trace
 /// against the run report, writes the three artifacts per runner, and
 /// prints each runner's tail attribution.
-fn trace_exports(
-    tb: &Testbed,
-    dir: &str,
-    runner: &str,
-    worst: usize,
-    faults: &FaultConfig,
-    execution: Execution,
-) {
+fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &FaultConfig) {
     fs::create_dir_all(dir).expect("create trace output dir");
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
         let mut tracer = Tracer::flight_recorder();
-        let report = SimBuilder::new(design_for(name))
-            .config(tb)
-            .execution(execution)
-            .faults(faults.clone())
-            .tracer(&mut tracer)
-            .run();
+        let report =
+            SimBuilder::new(design_for(name)).config(tb).faults(faults.clone()).tracer(&mut tracer).run();
         report.validate().expect("inconsistent run report");
         if let Err(e) = tracer.cross_validate(&report) {
             eprintln!("{name}: trace/report cross-validation failed: {e}");
@@ -454,66 +392,33 @@ fn trace_exports(
     }
 }
 
-/// Runs the selected runner(s) with both profiler sides attached and writes
-/// two artifacts per runner plus one per invocation:
+/// Runs the selected runner(s) in profile mode and writes two artifacts per
+/// runner plus one per invocation:
 ///
-/// * `<name>.profile.json` — the deterministic profile (event-core
-///   telemetry, critical-path/parallelism analysis, per-machine-pair
-///   lookahead bounds); byte-identical across same-seed runs.
+/// * `<name>.profile.json` — the profiled run report (its `event_core`
+///   section carries the scheduler telemetry); byte-identical across
+///   same-seed runs.
 /// * `host.folded` — folded-stack wall-clock attribution across all
 ///   profiled runners (`<name>;<phase> <ns>` lines for `flamegraph.pl`);
 ///   non-deterministic by nature, git-ignored, never golden-tested.
-fn profile_exports(tb: &Testbed, dir: &str, runner: &str, execution: Execution) {
+fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     fs::create_dir_all(dir).expect("create profile output dir");
     // The wall-clock side: `Instant` is fine here (binaries are exempt from
     // the determinism rules); the sim crates only ever see the closure.
     let t0 = std::time::Instant::now();
     let mut prof = HostProf::new(move || t0.elapsed().as_nanos() as u64);
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
-    let mut t = Table::new(
-        "parallel-DES readiness — deterministic profile",
-        &["runner", "parallelism", "lookahead min us", "events dispatched"],
-    );
     for name in names {
-        let mut tracer = Tracer::flight_recorder();
-        let report = prof.time(&format!("{name};run"), || {
-            SimBuilder::new(design_for(name))
-                .config(tb)
-                .execution(execution)
-                .tracer(&mut tracer)
-                .profile()
-                .run()
-        });
-        prof.time(&format!("{name};validate"), || {
-            report.validate().expect("inconsistent run report");
-            if let Err(e) = tracer.cross_validate(&report) {
-                eprintln!("{name}: trace/report cross-validation failed: {e}");
-                exit(1);
-            }
-        });
-        let doc = prof.time(&format!("{name};render"), || profile_json(&report, &tracer));
+        let report = prof
+            .time(&format!("{name};run"), || SimBuilder::new(design_for(name)).config(tb).profile().run());
+        prof.time(&format!("{name};validate"), || report.validate().expect("inconsistent run report"));
+        let doc = prof.time(&format!("{name};render"), || report.to_json_string());
         fs::write(format!("{dir}/{name}.profile.json"), &doc).expect("write profile json");
-
-        let cp = tracer.critical_path().expect("flight recorder analyzes the critical path");
-        let lookahead_min = report
-            .resources
-            .counters()
-            .filter(|(n, _)| n.contains(".lookahead.") && n.ends_with(".min_ps"))
-            .map(|(_, v)| v)
-            .min();
         let dispatched = report.event_core.as_ref().map_or(0, |ec| ec.dispatched);
-        t.row(vec![
-            name.into(),
-            format!("{:.2}x", cp.parallelism_ratio()),
-            lookahead_min.map_or("-".into(), |ps| format!("{:.2}", ps as f64 / 1.0e6)),
-            dispatched.to_string(),
-        ]);
-        println!("{name}: profile -> {dir}/{name}.profile.json");
+        println!("{name}: {dispatched} events dispatched, profile -> {dir}/{name}.profile.json");
     }
     fs::write(format!("{dir}/host.folded"), prof.export_folded()).expect("write folded stacks");
-    t.print();
     println!("Wall-clock attribution (non-deterministic): {dir}/host.folded");
-    println!("Readiness summary with partition-safety status: cargo xtask profile");
 }
 
 /// The scoped-run configuration for a named runner: the default sketch
@@ -537,16 +442,16 @@ fn scope_config_for(name: &str) -> ScopeConfig {
 /// (the scoped report) and `<name>.unscoped.json` (the same run without
 /// scopes — byte-identical to the committed goldens for the golden-pinned
 /// runners).
-fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>, execution: Execution) {
+fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>) {
     if let Some(dir) = out {
         fs::create_dir_all(dir).expect("create scopes output dir");
     }
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
         let config = scope_config_for(name);
-        let scoped = SimBuilder::new(design_for(name)).config(tb).execution(execution).scopes(config).run();
+        let scoped = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
         scoped.validate().expect("inconsistent scoped run report");
-        let again = SimBuilder::new(design_for(name)).config(tb).execution(execution).scopes(config).run();
+        let again = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
         if scoped.to_json_string() != again.to_json_string() {
             eprintln!("{name}: same-seed scoped runs serialized differently");
             exit(1);
@@ -592,7 +497,7 @@ fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>, execution: Exec
         println!("{name}: scope conservation identities validated (RunReport::validate)");
 
         if let Some(dir) = out {
-            let unscoped = SimBuilder::new(design_for(name)).config(tb).execution(execution).run();
+            let unscoped = SimBuilder::new(design_for(name)).config(tb).run();
             unscoped.validate().expect("inconsistent unscoped run report");
             fs::write(format!("{dir}/{name}.scopes.json"), scoped.to_json_string())
                 .expect("write scoped report");

@@ -17,11 +17,10 @@
 //! wall-clock, filesystem or environment access (the workspace analyzer's
 //! R2 bans them here). I/O and self-profiling live in `src/bin/bench.rs`.
 
-use rambda::{micro, Design, Execution, SimBuilder, Testbed};
+use rambda::{micro, Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_fabric::FaultConfig;
 use rambda_metrics::{Json, RunReport, ScopeConfig};
-use rambda_trace::Tracer;
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
 use crate::Table;
@@ -98,13 +97,10 @@ pub struct BenchPoint {
     pub peak_window_p99_ps: u64,
     /// Largest per-window utilization across all resources.
     pub peak_utilization: f64,
-    /// Whole-run parallelism ratio (total busy work ÷ critical path) from
-    /// the deterministic profiler; `None` unless the sweep ran with
-    /// `--profile`. Omitted from the JSON when `None`, so baselines
-    /// written before the profiler existed stay byte-identical.
-    pub parallelism_ratio: Option<f64>,
     /// Events dispatched by the run's event core (scheduler telemetry);
-    /// `None` unless the sweep ran with `--profile`.
+    /// `None` unless the sweep ran with `--profile`. Omitted from the JSON
+    /// when `None`, so baselines written before the profiler existed stay
+    /// byte-identical.
     pub events_dispatched: Option<u64>,
     /// Hottest scope's share of the run's recorded requests, from the
     /// scoped-metrics registry (DESIGN.md §15); `None` unless the sweep
@@ -138,7 +134,6 @@ impl BenchPoint {
             window_completed: tl.windows.iter().map(|w| w.count).collect(),
             peak_window_p99_ps: tl.peak_p99_ps(),
             peak_utilization: tl.peak_utilization(),
-            parallelism_ratio: None,
             events_dispatched: None,
             hot_fraction: None,
         })
@@ -159,9 +154,6 @@ impl BenchPoint {
         o.push("window_completed", Json::Arr(self.window_completed.iter().map(|&v| Json::U64(v)).collect()));
         o.push("peak_window_p99_ps", Json::U64(self.peak_window_p99_ps));
         o.push("peak_utilization", Json::F64(self.peak_utilization));
-        if let Some(ratio) = self.parallelism_ratio {
-            o.push("parallelism_ratio", Json::F64(ratio));
-        }
         if let Some(dispatched) = self.events_dispatched {
             o.push("events_dispatched", Json::U64(dispatched));
         }
@@ -186,11 +178,6 @@ impl BenchPoint {
             window_completed: get_u64_arr(j, "window_completed")?,
             peak_window_p99_ps: get_u64(j, "peak_window_p99_ps")?,
             peak_utilization: get_f64(j, "peak_utilization")?,
-            parallelism_ratio: match j.get("parallelism_ratio") {
-                Some(Json::F64(v)) => Some(*v),
-                Some(Json::U64(v)) => Some(*v as f64),
-                _ => None,
-            },
             events_dispatched: match j.get("events_dispatched") {
                 Some(Json::U64(v)) => Some(*v),
                 _ => None,
@@ -207,14 +194,12 @@ impl BenchPoint {
 /// Runs one sweep point, optionally under the deterministic profiler
 /// and/or the scoped-metrics registry.
 ///
-/// With `profile` set, the run carries a flight-recorder tracer and the
-/// builder's `profile()` telemetry, and the point records the whole-run
-/// parallelism ratio plus the event core's dispatch count. With `scopes`
+/// With `profile` set, the run carries the builder's `profile()` telemetry
+/// and the point records the event core's dispatch count. With `scopes`
 /// set, the run attributes requests to per-entity metric scopes and the
 /// point records the hottest scope's request share. Both only observe —
 /// they never perturb the simulated events — so the headline numbers are
 /// identical either way.
-#[allow(clippy::too_many_arguments)]
 fn run_point(
     design: Design,
     name: &str,
@@ -223,25 +208,19 @@ fn run_point(
     faults: Option<FaultConfig>,
     profile: bool,
     scopes: bool,
-    execution: Execution,
 ) -> Result<BenchPoint, String> {
-    let mut builder = SimBuilder::new(design).config(tb).execution(execution);
+    let mut builder = SimBuilder::new(design).config(tb);
     if let Some(f) = faults {
         builder = builder.faults(f);
+    }
+    if profile {
+        builder = builder.profile();
     }
     if scopes {
         builder = builder.scopes(ScopeConfig::default());
     }
-    if !profile {
-        let report = builder.run();
-        let mut point = BenchPoint::from_report(name, x, &report)?;
-        point.hot_fraction = report.scopes.as_ref().map(|sc| sc.hot_fraction());
-        return Ok(point);
-    }
-    let mut tracer = Tracer::flight_recorder();
-    let report = builder.tracer(&mut tracer).profile().run();
+    let report = builder.run();
     let mut point = BenchPoint::from_report(name, x, &report)?;
-    point.parallelism_ratio = tracer.critical_path().map(|cp| cp.parallelism_ratio());
     point.events_dispatched = report.event_core.as_ref().map(|ec| ec.dispatched);
     point.hot_fraction = report.scopes.as_ref().map(|sc| sc.hot_fraction());
     Ok(point)
@@ -305,14 +284,13 @@ impl SweepResult {
 
     /// Renders the sweep as an ASCII table with a per-run throughput
     /// sparkline (completions per timeline window). Profiled sweeps gain
-    /// parallelism-ratio and event-dispatch columns; scoped sweeps gain a
-    /// hottest-scope request-share column.
+    /// an event-dispatch column; scoped sweeps gain a hottest-scope
+    /// request-share column.
     pub fn render_table(&self) -> String {
-        let profiled = self.points.iter().any(|p| p.parallelism_ratio.is_some());
+        let profiled = self.points.iter().any(|p| p.events_dispatched.is_some());
         let scoped = self.points.iter().any(|p| p.hot_fraction.is_some());
         let mut headers = vec!["design", "x", "Mops", "p50 us", "p99 us", "peak util"];
         if profiled {
-            headers.push("par");
             headers.push("events");
         }
         if scoped {
@@ -330,7 +308,6 @@ impl SweepResult {
                 format!("{:.2}", p.peak_utilization),
             ];
             if profiled {
-                cells.push(p.parallelism_ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.2}x")));
                 cells.push(p.events_dispatched.map_or_else(|| "-".to_string(), |n| n.to_string()));
             }
             if scoped {
@@ -413,8 +390,8 @@ pub fn is_gating(name: &str) -> bool {
 }
 
 /// Runs one sweep end to end. With `profile` set, every point also runs
-/// the deterministic profiler (parallelism-ratio and event-core rows in
-/// the sweep JSON and table). With `scopes` set, every point runs under
+/// the deterministic profiler (an event-core row in the sweep JSON and
+/// table). With `scopes` set, every point runs under
 /// the scoped-metrics registry and records its hottest scope's request
 /// share.
 ///
@@ -422,20 +399,14 @@ pub fn is_gating(name: &str) -> bool {
 ///
 /// Returns an unknown-sweep message (listing valid names), or the first
 /// report that failed its telemetry validation.
-pub fn run_sweep(
-    name: &str,
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<SweepResult, String> {
+pub fn run_sweep(name: &str, quick: bool, profile: bool, scopes: bool) -> Result<SweepResult, String> {
     let mode = if quick { "quick" } else { "full" };
     let points = match name {
-        "micro_designs" => micro_designs(quick, profile, scopes, execution)?,
-        "kvs_load" => kvs_load(quick, profile, scopes, execution)?,
-        "txn_latency" => txn_latency(quick, profile, scopes, execution)?,
-        "dlrm_load" => dlrm_load(quick, profile, scopes, execution)?,
-        "faults_sweep" => faults_sweep(quick, profile, scopes, execution)?,
+        "micro_designs" => micro_designs(quick, profile, scopes)?,
+        "kvs_load" => kvs_load(quick, profile, scopes)?,
+        "txn_latency" => txn_latency(quick, profile, scopes)?,
+        "dlrm_load" => dlrm_load(quick, profile, scopes)?,
+        "faults_sweep" => faults_sweep(quick, profile, scopes)?,
         other => return Err(format!("unknown sweep `{other}` — valid sweeps: {}", sweep_names().join(", "))),
     };
     let tolerance = Tolerance { max_throughput_drop: 0.05, max_p99_rise: 0.10 };
@@ -444,12 +415,7 @@ pub fn run_sweep(
 
 /// Fig. 7-style design comparison: CPU core scaling vs. the Rambda
 /// variants on the pointer-chase microbenchmark.
-fn micro_designs(
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<Vec<BenchPoint>, String> {
+fn micro_designs(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
     let tb = Testbed::default();
     let p = if quick {
         micro::MicroParams { requests: 6_000, ..micro::MicroParams::quick() }
@@ -466,7 +432,6 @@ fn micro_designs(
             None,
             profile,
             scopes,
-            execution,
         )?);
     }
     let variants: [(&str, DataLocation, bool); 4] = [
@@ -484,19 +449,13 @@ fn micro_designs(
             None,
             profile,
             scopes,
-            execution,
         )?);
     }
     Ok(points)
 }
 
 /// Fig. 9-style KVS offered-load sweep: per-client pipeline window × design.
-fn kvs_load(
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<Vec<BenchPoint>, String> {
+fn kvs_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     let tb = Testbed::default();
     let base = if quick { KvsParams { requests: 8_000, ..KvsParams::quick() } } else { KvsParams::paper() };
@@ -504,7 +463,7 @@ fn kvs_load(
     for window in [1usize, 4, 16] {
         let p = KvsParams { window, ..base.clone() };
         let x = format!("window={window}");
-        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None, profile, scopes, execution)?);
+        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None, profile, scopes)?);
         points.push(run_point(
             Design::kvs_rambda(p.clone(), DataLocation::HostDram),
             "rambda",
@@ -513,30 +472,15 @@ fn kvs_load(
             None,
             profile,
             scopes,
-            execution,
         )?);
-        points.push(run_point(
-            Design::kvs_smartnic(p.clone()),
-            "smartnic",
-            &x,
-            &tb,
-            None,
-            profile,
-            scopes,
-            execution,
-        )?);
+        points.push(run_point(Design::kvs_smartnic(p.clone()), "smartnic", &x, &tb, None, profile, scopes)?);
     }
     Ok(points)
 }
 
 /// Fig. 12-style replicated-transaction comparison: HyperLoop chain vs.
 /// Rambda-Tx, for write-only and read-write transactions.
-fn txn_latency(
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<Vec<BenchPoint>, String> {
+fn txn_latency(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
     let specs: [(&str, TxnSpec); 2] =
@@ -545,37 +489,14 @@ fn txn_latency(
     for (x, spec) in specs {
         let p =
             if quick { TxnParams { txns: 1_500, ..TxnParams::quick(spec) } } else { TxnParams::paper(spec) };
-        points.push(run_point(
-            Design::txn_hyperloop(p.clone()),
-            "hyperloop",
-            x,
-            &tb,
-            None,
-            profile,
-            scopes,
-            execution,
-        )?);
-        points.push(run_point(
-            Design::txn_rambda_tx(p.clone()),
-            "rambda_tx",
-            x,
-            &tb,
-            None,
-            profile,
-            scopes,
-            execution,
-        )?);
+        points.push(run_point(Design::txn_hyperloop(p.clone()), "hyperloop", x, &tb, None, profile, scopes)?);
+        points.push(run_point(Design::txn_rambda_tx(p.clone()), "rambda_tx", x, &tb, None, profile, scopes)?);
     }
     Ok(points)
 }
 
 /// Fig. 13-style DLRM serving comparison on the Books embedding profile.
-fn dlrm_load(
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<Vec<BenchPoint>, String> {
+fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_dlrm::{DlrmDesigns, DlrmParams};
     let tb = Testbed::default();
     let embeddings = DlrmProfile::by_name("Books").ok_or("Books DLRM profile missing")?;
@@ -594,7 +515,6 @@ fn dlrm_load(
             None,
             profile,
             scopes,
-            execution,
         )?);
     }
     points.push(run_point(
@@ -605,7 +525,6 @@ fn dlrm_load(
         None,
         profile,
         scopes,
-        execution,
     )?);
     points.push(run_point(
         Design::dlrm_rambda(p.clone(), DataLocation::LocalHbm),
@@ -615,7 +534,6 @@ fn dlrm_load(
         None,
         profile,
         scopes,
-        execution,
     )?);
     Ok(points)
 }
@@ -624,12 +542,7 @@ fn dlrm_load(
 /// Rambda designs under increasing injected packet loss. The zero-loss point
 /// anchors each curve; the lossy points show the recovery layer's cost
 /// (retransmissions push the tail up while throughput barely moves).
-fn faults_sweep(
-    quick: bool,
-    profile: bool,
-    scopes: bool,
-    execution: Execution,
-) -> Result<Vec<BenchPoint>, String> {
+fn faults_sweep(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
@@ -646,7 +559,6 @@ fn faults_sweep(
             Some(FaultConfig::lossy(0xFA17, loss)),
             profile,
             scopes,
-            execution,
         )?);
         points.push(run_point(
             Design::txn_rambda_tx(xp.clone()),
@@ -656,7 +568,6 @@ fn faults_sweep(
             Some(FaultConfig::lossy(0xFA17, loss)),
             profile,
             scopes,
-            execution,
         )?);
     }
     Ok(points)
@@ -720,7 +631,6 @@ mod tests {
                 window_completed: vec![100, 120, 130, 120, 110, 100, 120, 100, 50, 50],
                 peak_window_p99_ps: 10_000_000,
                 peak_utilization: 0.85,
-                parallelism_ratio: None,
                 events_dispatched: None,
                 hot_fraction: None,
             }],
@@ -779,7 +689,7 @@ mod tests {
 
     #[test]
     fn unknown_sweep_lists_valid_names() {
-        let err = run_sweep("nope", true, false, false, Execution::Serial).unwrap_err();
+        let err = run_sweep("nope", true, false, false).unwrap_err();
         for name in sweep_names() {
             assert!(err.contains(name), "{err}");
         }
@@ -790,24 +700,21 @@ mod tests {
         // A point without profile data serializes without the keys, so
         // pre-profiler baselines stay byte-identical and still parse.
         let bare = tiny_sweep().to_json_string();
-        assert!(!bare.contains("parallelism_ratio"), "{bare}");
         assert!(!bare.contains("events_dispatched"), "{bare}");
         let parsed = SweepResult::from_json_str(&bare).expect("parses");
-        assert_eq!(parsed.points[0].parallelism_ratio, None);
         assert_eq!(parsed.points[0].events_dispatched, None);
 
         let mut profiled = tiny_sweep();
-        profiled.points[0].parallelism_ratio = Some(1.25);
         profiled.points[0].events_dispatched = Some(30_000);
         let text = profiled.to_json_string();
         let back = SweepResult::from_json_str(&text).expect("parses");
         assert_eq!(back, profiled);
         assert_eq!(back.to_json_string(), text);
         let table = profiled.render_table();
-        assert!(table.contains("1.25x"), "{table}");
         assert!(table.contains("events"), "{table}");
+        assert!(table.contains("30000"), "{table}");
         // An unprofiled sweep keeps the original table shape.
-        assert!(!tiny_sweep().render_table().contains("par"), "no profile columns");
+        assert!(!tiny_sweep().render_table().contains("events"), "no profile column");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! CLI contract of the `report` binary's scoped-metrics mode (DESIGN.md
-//! §15): bad selections fail fast with the valid-runner listing before any
-//! simulation runs or output directory is created, mirroring the existing
+//! CLI contract of the `report` binary's export modes (DESIGN.md §15):
+//! bad selections and pointless flag combinations fail fast — before any
+//! simulation runs or output directory is created — mirroring the existing
 //! `--trace-runner`/`--profile-runner` validation.
 
 use std::path::Path;
@@ -36,7 +36,7 @@ fn stray_scopes_out_without_scopes_fails_fast() {
 #[test]
 fn scopes_combined_with_trace_or_profile_fails_fast() {
     let dir = format!("{}/scopes-vs-trace", env!("CARGO_TARGET_TMPDIR"));
-    for other in ["--trace", "--profile", "--report-out"] {
+    for other in ["--trace", "--profile"] {
         let out = report(&["--scopes", "kvs.rambda", other, &dir]);
         assert_eq!(out.status.code(), Some(2), "{other} + --scopes must exit 2");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -46,30 +46,22 @@ fn scopes_combined_with_trace_or_profile_fails_fast() {
 }
 
 #[test]
-fn report_export_is_byte_identical_across_execution_modes() {
-    // The tentpole CLI contract: `--report-out` under `--workers 2` (the
-    // conservative parallel executor) writes exactly the bytes the serial
-    // run writes — the same cross-check CI's parallel-smoke job performs.
-    let serial_dir = format!("{}/report-serial", env!("CARGO_TARGET_TMPDIR"));
-    let par_dir = format!("{}/report-par", env!("CARGO_TARGET_TMPDIR"));
-    let out = report(&["--report-out", &serial_dir, "--report-runner", "kvs.rambda"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("under serial"));
-    let out = report(&["--report-out", &par_dir, "--report-runner", "kvs.rambda", "--workers", "2"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("under conservative(2)"));
-
-    let serial = std::fs::read(format!("{serial_dir}/kvs.rambda.report.json")).expect("serial json");
-    let par = std::fs::read(format!("{par_dir}/kvs.rambda.report.json")).expect("parallel json");
-    assert_eq!(serial, par, "serial and conservative report exports must be byte-identical");
-}
-
-#[test]
-fn stray_report_runner_without_report_out_fails_fast() {
-    let out = report(&["--report-runner", "kvs.rambda"]);
-    assert_eq!(out.status.code(), Some(2), "stray --report-runner must exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--report-runner has no effect without --report-out"), "{err}");
+fn loss_outside_the_headline_and_trace_modes_fails_fast() {
+    // Only the headline comparison and --trace take the fault plan; a
+    // scoped or profiled run would silently ignore it.
+    let dir = format!("{}/loss-ignored", env!("CARGO_TARGET_TMPDIR"));
+    for mode in [
+        ["--scopes", "kvs.rambda", "--scopes-out", &dir],
+        ["--profile", &dir, "--profile-runner", "kvs.rambda"],
+    ] {
+        let mut args = mode.to_vec();
+        args.extend(["--loss", "0.5"]);
+        let out = report(&args);
+        assert_eq!(out.status.code(), Some(2), "{} with --loss must exit 2", mode[0]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--loss has no effect"), "{err}");
+        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {} dir", mode[0]);
+    }
 }
 
 #[test]

@@ -36,59 +36,6 @@ impl DriverConfig {
     }
 }
 
-/// How the driver executes the simulated machines' events.
-///
-/// `Serial` is the classic single-wheel dispatch loop. `Conservative` is a
-/// Chandy-Misra-style lookahead-synchronized executor: clients are sharded
-/// into per-worker partitions, each partition's event wheel advances
-/// independently up to a safe horizon (global minimum next-event time plus
-/// the fabric's minimum link latency), and partitions synchronize at window
-/// barriers. Cross-partition deliveries merge in deterministic
-/// (timestamp, insertion-sequence) order, so the observable run — and the
-/// resulting `RunReport` — is byte-identical to a serial run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// Single event wheel, global dispatch order (the default).
-    #[default]
-    Serial,
-    /// Lookahead-windowed partitioned execution with `workers` partitions.
-    ///
-    /// Falls back to serial when `workers < 2`, when the design supplies a
-    /// zero lookahead bound (opting out), or when there are fewer than two
-    /// clients to shard.
-    Conservative {
-        /// Number of partitions to shard the closed-loop clients across.
-        workers: usize,
-    },
-}
-
-impl Execution {
-    /// Human-readable label recorded on the run report: `"serial"` or
-    /// `"conservative(N)"`.
-    pub fn label(&self) -> String {
-        match self {
-            Execution::Serial => "serial".to_string(),
-            Execution::Conservative { workers } => format!("conservative({workers})"),
-        }
-    }
-}
-
-/// Telemetry from the conservative executor: how many lookahead windows it
-/// opened, how many barriers it crossed, and how often a partition stalled
-/// with pending work beyond the horizon. All zero under serial execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Partitions the clients were sharded into (0 under serial).
-    pub partitions: u64,
-    /// Lookahead windows opened.
-    pub windows: u64,
-    /// Window barriers crossed (one per window, by construction).
-    pub barriers: u64,
-    /// Partition-window pairs that still held events past the horizon when
-    /// the barrier closed — the work the lookahead bound deferred.
-    pub horizon_stalls: u64,
-}
-
 /// Results of a closed-loop run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
@@ -102,28 +49,8 @@ pub struct RunStats {
     /// denominator for resource-utilization figures in run reports.
     pub makespan: Span,
     /// Event-core telemetry captured from the driver's event queue after the
-    /// run drains (dispatch counts, wheel-tier hits, sim-time dwell). Under
-    /// conservative execution this is the fold of every partition's queue.
+    /// run drains (dispatch counts, wheel-tier hits, sim-time dwell).
     pub event_core: EventCoreStats,
-    /// Conservative-executor window/barrier accounting (zero under serial).
-    pub exec: ExecStats,
-}
-
-impl RunStats {
-    /// Throughput in Mops.
-    pub fn throughput_mops(&self) -> f64 {
-        self.throughput_ops / 1.0e6
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.latency.mean().as_us_f64()
-    }
-
-    /// 99th-percentile latency in microseconds.
-    pub fn p99_us(&self) -> f64 {
-        self.latency.percentile(0.99).as_us_f64()
-    }
 }
 
 /// Runs a closed loop: `serve(client, issue_time) -> completion_time`.
@@ -134,97 +61,11 @@ impl RunStats {
 /// # Panics
 ///
 /// Panics if the configuration has zero clients, window, or requests.
-pub fn run_closed_loop<F>(cfg: &DriverConfig, serve: F) -> RunStats
-where
-    F: FnMut(usize, SimTime) -> SimTime,
-{
-    run_closed_loop_exec(cfg, Execution::Serial, Span::ZERO, serve)
-}
-
-/// Shared post-warm-up measurement accounting for both executors. Processing
-/// a completion in (time, sequence) order through this struct is what makes
-/// the two execution modes observably identical.
-struct Measure {
-    warmup_count: u64,
-    completed: u64,
-    measured: u64,
-    window_start: SimTime,
-    window_end: SimTime,
-    latency: Histogram,
-}
-
-impl Measure {
-    fn new(cfg: &DriverConfig) -> Self {
-        Measure {
-            warmup_count: ((cfg.requests as f64) * cfg.warmup) as u64,
-            completed: 0,
-            measured: 0,
-            window_start: SimTime::ZERO,
-            window_end: SimTime::ZERO,
-            latency: Histogram::new(),
-        }
-    }
-
-    fn complete(&mut self, done: SimTime, issued_at: SimTime) {
-        self.completed += 1;
-        if self.completed == self.warmup_count.max(1) {
-            self.window_start = done;
-        }
-        if self.completed > self.warmup_count.max(1) {
-            self.latency.record(done - issued_at);
-            self.measured += 1;
-            self.window_end = done;
-        }
-    }
-
-    fn finish(self, event_core: EventCoreStats, exec: ExecStats) -> RunStats {
-        let span = self.window_end.saturating_since(self.window_start);
-        let throughput = if span.is_zero() { 0.0 } else { self.measured as f64 / span.as_secs_f64() };
-        RunStats {
-            completed: self.measured,
-            throughput_ops: throughput,
-            latency: self.latency,
-            makespan: self.window_end.saturating_since(SimTime::ZERO),
-            event_core,
-            exec,
-        }
-    }
-}
-
-/// Runs a closed loop under an explicit execution mode.
-///
-/// `lookahead` is the design's conservative bound on cross-partition event
-/// latency — typically the fabric's minimum wire latency
-/// (`Network::min_lookahead`). A zero lookahead opts the design out of
-/// parallel execution (single-machine designs have no safe horizon), as does
-/// `workers < 2` or a driver with fewer than two clients to shard.
-///
-/// # Determinism
-///
-/// The conservative path shards clients into `min(workers, clients)`
-/// partition queues that share one global insertion-sequence counter. Each
-/// window it advances every partition up to the horizon (global minimum
-/// next-event time + `lookahead`, inclusive), always dispatching the globally
-/// smallest (time, sequence) head. That merge order is exactly the pop order
-/// of a single serial queue, so completions — and therefore every derived
-/// statistic — are byte-identical to `Execution::Serial`.
-///
-/// # Panics
-///
-/// Panics if the configuration has zero clients, window, or requests.
-pub fn run_closed_loop_exec<F>(cfg: &DriverConfig, exec: Execution, lookahead: Span, mut serve: F) -> RunStats
+pub fn run_closed_loop<F>(cfg: &DriverConfig, mut serve: F) -> RunStats
 where
     F: FnMut(usize, SimTime) -> SimTime,
 {
     assert!(cfg.clients > 0 && cfg.window > 0 && cfg.requests > 0, "empty driver config");
-    let workers = match exec {
-        Execution::Conservative { workers } if workers >= 2 => workers,
-        _ => 0,
-    };
-    if workers >= 2 && !lookahead.is_zero() && cfg.clients >= 2 {
-        return run_conservative(cfg, workers.min(cfg.clients), lookahead, serve);
-    }
-
     let mut queue: EventQueue<(usize, SimTime)> = EventQueue::new();
     let prime_kind = queue.kind("prime");
     let serve_kind = queue.kind("serve");
@@ -244,108 +85,39 @@ where
         }
     }
 
-    let mut m = Measure::new(cfg);
+    // Post-warm-up accounting: completions pop in (time, sequence) order.
+    let warmup = (((cfg.requests as f64) * cfg.warmup) as u64).max(1);
+    let mut completed = 0u64;
+    let mut measured = 0u64;
+    let mut window_start = SimTime::ZERO;
+    let mut window_end = SimTime::ZERO;
+    let mut latency = Histogram::new();
     while let Some((done, (client, issued_at))) = queue.pop() {
-        m.complete(done, issued_at);
+        completed += 1;
+        if completed == warmup {
+            window_start = done;
+        }
+        if completed > warmup {
+            latency.record(done - issued_at);
+            measured += 1;
+            window_end = done;
+        }
         if issued < cfg.requests {
             let next = serve(client, done);
             queue.push_kind(next, serve_kind, (client, done));
             issued += 1;
         }
     }
-    m.finish(queue.stats().clone(), ExecStats::default())
-}
 
-/// The conservative lookahead-windowed executor. `parts >= 2` and
-/// `lookahead > 0` are guaranteed by the caller.
-fn run_conservative<F>(cfg: &DriverConfig, parts: usize, lookahead: Span, mut serve: F) -> RunStats
-where
-    F: FnMut(usize, SimTime) -> SimTime,
-{
-    // One event wheel per partition; clients shard round-robin so every
-    // partition stays loaded. All queues draw insertion sequences from one
-    // global counter — the invariant the deterministic merge rests on.
-    let mut queues: Vec<EventQueue<(usize, SimTime)>> = Vec::with_capacity(parts);
-    let mut prime_kinds = Vec::with_capacity(parts);
-    let mut serve_kinds = Vec::with_capacity(parts);
-    for _ in 0..parts {
-        let mut q = EventQueue::new();
-        prime_kinds.push(q.kind("prime"));
-        serve_kinds.push(q.kind("serve"));
-        queues.push(q);
+    let span = window_end.saturating_since(window_start);
+    let throughput = if span.is_zero() { 0.0 } else { measured as f64 / span.as_secs_f64() };
+    RunStats {
+        completed: measured,
+        throughput_ops: throughput,
+        latency,
+        makespan: window_end.saturating_since(SimTime::ZERO),
+        event_core: queue.stats().clone(),
     }
-    let mut next_seq = 0u64;
-    let mut issued = 0u64;
-
-    // Prime in the same global order as the serial executor.
-    'prime: for c in 0..cfg.clients {
-        for _ in 0..cfg.window {
-            if issued >= cfg.requests {
-                break 'prime;
-            }
-            let t0 = SimTime::from_ps(issued);
-            let done = serve(c, t0);
-            let p = c % parts;
-            queues[p].push_kind_at_seq(done, prime_kinds[p], next_seq, (c, t0));
-            next_seq += 1;
-            issued += 1;
-        }
-    }
-
-    let mut m = Measure::new(cfg);
-    let mut exec = ExecStats { partitions: parts as u64, windows: 0, barriers: 0, horizon_stalls: 0 };
-
-    // Window loop: open a lookahead window at the global minimum next-event
-    // time, drain every partition up to the (inclusive) horizon in global
-    // (time, seq) order, then barrier and account for deferred work.
-    loop {
-        let mut min_t: Option<SimTime> = None;
-        for q in queues.iter_mut() {
-            if let Some((at, _)) = q.peek_key() {
-                min_t = Some(min_t.map_or(at, |m| m.min(at)));
-            }
-        }
-        let Some(min_t) = min_t else { break };
-        let horizon = min_t + lookahead;
-        exec.windows += 1;
-
-        // Merge loop: repeatedly dispatch the globally smallest
-        // (time, sequence) head at or before the horizon. `serve` mutates
-        // shared world state, so the merge must interleave partitions
-        // exactly as the serial wheel would.
-        loop {
-            let mut best: Option<(SimTime, u64, usize)> = None;
-            for (p, q) in queues.iter_mut().enumerate() {
-                if let Some((at, seq)) = q.peek_key() {
-                    if at <= horizon && best.is_none_or(|(bt, bs, _)| (at, seq) < (bt, bs)) {
-                        best = Some((at, seq, p));
-                    }
-                }
-            }
-            let Some((_, _, p)) = best else { break };
-            let (done, (client, issued_at)) = queues[p].pop().expect("peeked head vanished");
-            m.complete(done, issued_at);
-            if issued < cfg.requests {
-                let next = serve(client, done);
-                // A completion re-arms its own client, which may live in any
-                // partition — this is the cross-partition delivery, exchanged
-                // here at the barrier boundary with its global sequence.
-                let dest = client % parts;
-                queues[dest].push_kind_at_seq(next, serve_kinds[dest], next_seq, (client, done));
-                next_seq += 1;
-                issued += 1;
-            }
-        }
-
-        exec.barriers += 1;
-        exec.horizon_stalls += queues.iter().filter(|q| !q.is_empty()).count() as u64;
-    }
-
-    let mut event_core = EventCoreStats::default();
-    for q in &queues {
-        event_core.absorb(q.stats());
-    }
-    m.finish(event_core, exec)
 }
 
 #[cfg(test)]
@@ -363,7 +135,8 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        assert!((stats.throughput_mops() - 10.0).abs() < 0.1, "{}", stats.throughput_mops());
+        let mops = stats.throughput_ops / 1e6;
+        assert!((mops - 10.0).abs() < 0.1, "{mops}");
         assert!(stats.completed > 40_000);
     }
 
@@ -377,7 +150,7 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        let mean = stats.mean_us();
+        let mean = stats.latency.mean().as_us_f64();
         assert!((5.0..7.5).contains(&mean), "mean={mean}");
     }
 
@@ -389,7 +162,8 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        assert!((stats.throughput_mops() - 40.0).abs() < 1.0, "{}", stats.throughput_mops());
+        let mops = stats.throughput_ops / 1e6;
+        assert!((mops - 40.0).abs() < 1.0, "{mops}");
     }
 
     #[test]
@@ -403,93 +177,5 @@ mod tests {
     #[should_panic(expected = "empty driver config")]
     fn bad_config_panics() {
         run_closed_loop(&DriverConfig { clients: 0, window: 1, requests: 1, warmup: 0.0 }, |_c, at| at);
-    }
-
-    /// Runs the same contended-server workload under `exec` so stats can be
-    /// compared across execution modes. The shared `Server` makes `serve`
-    /// order-sensitive: any divergence in dispatch order changes the result.
-    fn run_contended(cfg: &DriverConfig, exec: Execution, lookahead: Span) -> RunStats {
-        let mut server = Server::new(2);
-        run_closed_loop_exec(cfg, exec, lookahead, |_c, at| {
-            let start = server.acquire(at, Span::from_ns(100));
-            start + Span::from_ns(100)
-        })
-    }
-
-    fn assert_same_observables(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.throughput_ops.to_bits(), b.throughput_ops.to_bits());
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.latency.count(), b.latency.count());
-        assert_eq!(a.latency.sum_ps(), b.latency.sum_ps());
-        assert_eq!(a.latency.min(), b.latency.min());
-        assert_eq!(a.latency.max(), b.latency.max());
-        assert_eq!(a.latency.percentile(0.5), b.latency.percentile(0.5));
-        assert_eq!(a.latency.percentile(0.99), b.latency.percentile(0.99));
-    }
-
-    #[test]
-    fn conservative_matches_serial_on_a_contended_server() {
-        let cfg = DriverConfig::new(6, 30_000);
-        let serial = run_contended(&cfg, Execution::Serial, Span::from_ns(50));
-        for workers in [2, 3, 6] {
-            let par = run_contended(&cfg, Execution::Conservative { workers }, Span::from_ns(50));
-            assert_same_observables(&serial, &par);
-            assert_eq!(par.exec.partitions, workers as u64);
-            assert!(par.exec.windows > 0);
-            assert_eq!(par.exec.barriers, par.exec.windows);
-        }
-        assert_eq!(serial.exec, ExecStats::default());
-    }
-
-    #[test]
-    fn zero_lookahead_falls_back_to_serial() {
-        // A design that cannot bound cross-partition latency opts out with
-        // `Span::ZERO`; the driver must take the serial path verbatim.
-        let cfg = DriverConfig::new(4, 5_000);
-        let serial = run_contended(&cfg, Execution::Serial, Span::ZERO);
-        let par = run_contended(&cfg, Execution::Conservative { workers: 4 }, Span::ZERO);
-        assert_same_observables(&serial, &par);
-        assert_eq!(par.exec, ExecStats::default());
-    }
-
-    #[test]
-    fn single_client_falls_back_to_serial() {
-        // One client cannot be sharded; the conservative request degrades to
-        // the serial executor rather than spinning up a lone partition.
-        let cfg = DriverConfig::new(1, 2_000);
-        let par = run_contended(&cfg, Execution::Conservative { workers: 8 }, Span::from_ns(50));
-        assert_eq!(par.exec, ExecStats::default());
-        let serial = run_contended(&cfg, Execution::Serial, Span::from_ns(50));
-        assert_same_observables(&serial, &par);
-    }
-
-    #[test]
-    fn workers_beyond_clients_clamp_to_client_count() {
-        let cfg = DriverConfig::new(3, 5_000);
-        let par = run_contended(&cfg, Execution::Conservative { workers: 64 }, Span::from_ns(50));
-        assert_eq!(par.exec.partitions, 3);
-        let serial = run_contended(&cfg, Execution::Serial, Span::from_ns(50));
-        assert_same_observables(&serial, &par);
-    }
-
-    #[test]
-    fn delivery_exactly_on_horizon_is_dispatched_within_the_window() {
-        // Fixed 50ns service with a 50ns lookahead: every re-issue lands
-        // exactly on the window horizon. Inclusive horizons dispatch it in
-        // the same window; an exclusive bound would defer every event and
-        // open one window per completion.
-        let cfg = DriverConfig::new(4, 4_000).with_window(1);
-        let lookahead = Span::from_ns(50);
-        let serve = |_c: usize, at: SimTime| at + Span::from_ns(50);
-        let serial = run_closed_loop_exec(&cfg, Execution::Serial, lookahead, serve);
-        let par = run_closed_loop_exec(&cfg, Execution::Conservative { workers: 2 }, lookahead, serve);
-        assert_same_observables(&serial, &par);
-        assert!(
-            par.exec.windows < cfg.requests,
-            "horizon must be inclusive: {} windows for {} requests",
-            par.exec.windows,
-            cfg.requests
-        );
     }
 }

@@ -20,13 +20,14 @@
 //! ## Quick start
 //!
 //! ```
-//! use rambda::{micro, Testbed};
+//! use rambda::{micro, Design, SimBuilder, Testbed};
 //! use rambda_accel::DataLocation;
 //!
 //! let testbed = Testbed::default(); // Tab. II configuration
 //! // One Rambda accelerator serving the linked-list microbenchmark:
-//! let stats = micro::run_rambda(&testbed, micro::MicroParams::quick(), DataLocation::HostDram, true, 7);
-//! assert!(stats.throughput_mops() > 1.0);
+//! let design = Design::micro_rambda(micro::MicroParams::quick(), DataLocation::HostDram, true, 7);
+//! let report = SimBuilder::new(design).config(&testbed).run();
+//! assert!(report.throughput_mops() > 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +45,7 @@ pub mod report;
 pub mod sim;
 
 pub use config::{CpuConfig, Testbed};
-pub use driver::{run_closed_loop, run_closed_loop_exec, DriverConfig, ExecStats, Execution, RunStats};
+pub use driver::{run_closed_loop, DriverConfig, RunStats};
 pub use framework::{AppRegistration, Connection, CpollLayout, Framework, RegisterError, RegisteredApp};
 pub use machine::Machine;
 pub use report::build_report;

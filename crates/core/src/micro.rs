@@ -14,7 +14,7 @@ use rambda_mem::{MemKind, MemorySystem};
 
 use crate::config::Testbed;
 use crate::cpu::CpuServer;
-use crate::driver::{run_closed_loop_exec, DriverConfig, RunStats};
+use crate::driver::{run_closed_loop, DriverConfig, RunStats};
 use crate::sim::{Design, SimCtx};
 
 /// Spin-polling throughput tax relative to cpoll, applied to both the
@@ -121,41 +121,44 @@ impl Design {
     /// `batch`. Single-machine (shared-memory rings, no network), so the
     /// builder's fault plan does not apply.
     pub fn micro_cpu(params: MicroParams, cores: usize, batch: usize) -> Design {
-        Design::from_runner("micro.cpu", 0, move |tb, ctx| run_cpu_inner(tb, params, cores, batch, ctx))
+        Design::from_runner("micro.cpu", 0, move |tb, ctx| run_cpu(tb, params, cores, batch, ctx))
     }
 
     /// The Sec. VI-A Rambda microbenchmark (prototype or LD/LH via
-    /// `location`; `cpoll == false` is the spin-polling ablation).
+    /// `location`; `cpoll == false` is the spin-polling ablation). The
+    /// adaptive scheme disables global DDIO (Fig. 6 guideline 1).
     /// Single-machine, so the builder's fault plan does not apply.
     pub fn micro_rambda(params: MicroParams, location: DataLocation, cpoll: bool, seed: u64) -> Design {
         Design::from_runner("micro.rambda", seed, move |tb, ctx| {
-            run_rambda_inner(tb, params, location, cpoll, true, seed, ctx)
+            run_rambda(tb, params, location, cpoll, true, seed, ctx)
+        })
+    }
+
+    /// The "Rambda-DDIO" ablation of the NVM microbenchmark: global DDIO
+    /// stays on, so persisted records take the LLC-then-evict path with
+    /// write amplification. Reports as `micro.rambda`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `params.nvm` is set: the ablation only exists for the
+    /// NVM variant.
+    pub fn micro_rambda_always_ddio(params: MicroParams, cpoll: bool, seed: u64) -> Design {
+        assert!(params.nvm, "the DDIO ablation only applies to the NVM variant");
+        Design::from_runner("micro.rambda", seed, move |tb, ctx| {
+            run_rambda(tb, params, DataLocation::HostNvm, cpoll, false, seed, ctx)
         })
     }
 }
 
 /// Runs the CPU baseline on `cores` cores with request batches of `batch`.
-pub fn run_cpu(testbed: &Testbed, params: MicroParams, cores: usize, batch: usize) -> RunStats {
-    crate::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, cores, batch, ctx)
-}
-
-fn run_cpu_inner(
-    testbed: &Testbed,
-    params: MicroParams,
-    cores: usize,
-    batch: usize,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, profile: _, scopes, exec } = ctx;
+fn run_cpu(testbed: &Testbed, params: MicroParams, cores: usize, batch: usize, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
     let mut mem = MemorySystem::new(testbed.mem.clone(), true);
     let mut cpu = CpuServer::new(testbed.cpu.clone(), cores, batch);
     let kind = params.kind();
     let record = params.record_bytes();
     let scope_names = params.scope_names();
-    // Single machine, no fabric: zero lookahead opts out of parallel
-    // execution and the driver falls back to serial.
-    let stats = run_closed_loop_exec(&params.driver(), exec, Span::ZERO, |c, at| {
+    let stats = run_closed_loop(&params.driver(), |c, at| {
         let mut tr = tracer.observe(rec, at);
         let done = cpu.serve_request(at, params.chase, record, kind, &mut mem);
         tr.leg("cpu_serve", done);
@@ -168,42 +171,17 @@ fn run_cpu_inner(
         });
         done
     });
-    if rec.is_active() {
-        cpu.publish_metrics(resources, "cpu");
-        mem.publish_metrics(resources, "mem");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    cpu.publish_metrics(resources, "cpu");
+    mem.publish_metrics(resources, "mem");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 /// Runs a Rambda variant: prototype (`HostDram`/`HostNvm` per
 /// `params.nvm`) or the envisioned local-memory accelerators
-/// (`LocalDdr`/`LocalHbm`).
-///
-/// `cpoll == false` selects the spin-polling ablation; `seed` fixes the
-/// run's randomness.
-pub fn run_rambda(
-    testbed: &Testbed,
-    params: MicroParams,
-    location: DataLocation,
-    cpoll: bool,
-    seed: u64,
-) -> RunStats {
-    // The adaptive scheme disables global DDIO (Fig. 6 guideline 1).
-    crate::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, cpoll, true, seed, ctx)
-}
-
-/// The "Rambda-DDIO" ablation of the NVM microbenchmark: global DDIO stays
-/// on, so persisted records take the LLC-then-evict path with write
-/// amplification.
-pub fn run_rambda_always_ddio(testbed: &Testbed, params: MicroParams, cpoll: bool, seed: u64) -> RunStats {
-    assert!(params.nvm, "the DDIO ablation only applies to the NVM variant");
-    crate::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, DataLocation::HostNvm, cpoll, false, seed, ctx)
-}
-
-fn run_rambda_inner(
+/// (`LocalDdr`/`LocalHbm`). `cpoll == false` selects the spin-polling
+/// ablation, `adaptive_ddio == false` the always-DDIO ablation.
+fn run_rambda(
     testbed: &Testbed,
     params: MicroParams,
     location: DataLocation,
@@ -212,7 +190,7 @@ fn run_rambda_inner(
     seed: u64,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, profile: _, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
     let location = match (params.nvm, location) {
         (true, DataLocation::HostDram) => DataLocation::HostNvm,
         (_, l) => l,
@@ -224,9 +202,7 @@ fn run_rambda_inner(
     let record = params.record_bytes();
     let scope_names = params.scope_names();
 
-    // Single machine, no fabric: zero lookahead opts out of parallel
-    // execution and the driver falls back to serial.
-    let stats = run_closed_loop_exec(&params.driver(), exec, Span::ZERO, |c, at| {
+    let stats = run_closed_loop(&params.driver(), |c, at| {
         let mut trace = tracer.observe(rec, at);
         // Request written into the ring at `at`; discovery via cpoll (or the
         // slower spin-poll cycle).
@@ -282,28 +258,35 @@ fn run_rambda_inner(
         });
         now
     });
-    if rec.is_active() {
-        engine.publish_metrics(resources, "accel");
-        mem.publish_metrics(resources, "mem");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    engine.publish_metrics(resources, "accel");
+    mem.publish_metrics(resources, "mem");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimBuilder;
 
-    fn tb() -> Testbed {
-        Testbed::default()
+    fn mops(design: Design) -> f64 {
+        SimBuilder::new(design).config(&Testbed::default()).run().throughput_mops()
+    }
+
+    fn cpu(p: MicroParams, cores: usize) -> f64 {
+        mops(Design::micro_cpu(p, cores, 16))
+    }
+
+    fn rambda(p: MicroParams, location: DataLocation, cpoll: bool) -> f64 {
+        mops(Design::micro_rambda(p, location, cpoll, 1))
     }
 
     #[test]
     fn cpu_scales_linearly_to_16_cores() {
         let p = MicroParams::quick();
-        let one = run_cpu(&tb(), p, 1, 16).throughput_mops();
-        let eight = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let sixteen = run_cpu(&tb(), p, 16, 16).throughput_mops();
+        let one = cpu(p, 1);
+        let eight = cpu(p, 8);
+        let sixteen = cpu(p, 16);
         assert!((6.0..10.5).contains(&(eight / one)), "8/1 = {}", eight / one);
         assert!((1.6..2.2).contains(&(sixteen / eight)), "16/8 = {}", sixteen / eight);
     }
@@ -312,8 +295,8 @@ mod tests {
     fn rambda_polling_is_roughly_eight_cores() {
         // Fig. 7: "Rambda-polling ... is equivalent to ~8 cores".
         let p = MicroParams::quick();
-        let eight = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let polling = run_rambda(&tb(), p, DataLocation::HostDram, false, 1).throughput_mops();
+        let eight = cpu(p, 8);
+        let polling = rambda(p, DataLocation::HostDram, false);
         let ratio = polling / eight;
         assert!((0.7..1.4).contains(&ratio), "polling/8core = {ratio}");
     }
@@ -321,8 +304,8 @@ mod tests {
     #[test]
     fn cpoll_improves_over_polling_by_about_20_percent() {
         let p = MicroParams::quick();
-        let polling = run_rambda(&tb(), p, DataLocation::HostDram, false, 1).throughput_mops();
-        let cpoll = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
+        let polling = rambda(p, DataLocation::HostDram, false);
+        let cpoll = rambda(p, DataLocation::HostDram, true);
         let gain = cpoll / polling - 1.0;
         assert!((0.12..0.35).contains(&gain), "gain = {gain}");
     }
@@ -331,19 +314,19 @@ mod tests {
     fn local_memory_variants_improve_further() {
         // Fig. 7: LD/LH bring 114.4%-165.6% more improvement over Rambda.
         let p = MicroParams::quick();
-        let rambda = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let ld = run_rambda(&tb(), p, DataLocation::LocalDdr, true, 1).throughput_mops();
-        let lh = run_rambda(&tb(), p, DataLocation::LocalHbm, true, 1).throughput_mops();
-        assert!(ld > 1.6 * rambda, "LD {ld} vs Rambda {rambda}");
+        let base = rambda(p, DataLocation::HostDram, true);
+        let ld = rambda(p, DataLocation::LocalDdr, true);
+        let lh = rambda(p, DataLocation::LocalHbm, true);
+        assert!(ld > 1.6 * base, "LD {ld} vs Rambda {base}");
         assert!(lh > ld, "LH {lh} vs LD {ld}");
-        assert!(lh < 4.0 * rambda, "LH {lh} vs Rambda {rambda}");
+        assert!(lh < 4.0 * base, "LH {lh} vs Rambda {base}");
     }
 
     #[test]
     fn adaptive_ddio_helps_nvm_by_about_20_percent() {
         let p = MicroParams::quick().with_nvm();
-        let adaptive = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let always = run_rambda_always_ddio(&tb(), p, true, 1).throughput_mops();
+        let adaptive = rambda(p, DataLocation::HostDram, true);
+        let always = mops(Design::micro_rambda_always_ddio(p, true, 1));
         let gain = adaptive / always - 1.0;
         assert!((0.1..0.35).contains(&gain), "gain = {gain}");
     }
@@ -351,17 +334,17 @@ mod tests {
     #[test]
     fn nvm_is_slower_than_dram_everywhere() {
         let p = MicroParams::quick();
-        let dram = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let nvm = run_rambda(&tb(), p.with_nvm(), DataLocation::HostDram, true, 1).throughput_mops();
+        let dram = rambda(p, DataLocation::HostDram, true);
+        let nvm = rambda(p.with_nvm(), DataLocation::HostDram, true);
         assert!(nvm < dram);
-        let cpu_dram = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let cpu_nvm = run_cpu(&tb(), p.with_nvm(), 8, 16).throughput_mops();
+        let cpu_dram = cpu(p, 8);
+        let cpu_nvm = cpu(p.with_nvm(), 8);
         assert!(cpu_nvm < cpu_dram);
     }
 
     #[test]
     #[should_panic(expected = "only applies to the NVM variant")]
     fn ddio_ablation_requires_nvm() {
-        run_rambda_always_ddio(&tb(), MicroParams::quick(), true, 1);
+        Design::micro_rambda_always_ddio(MicroParams::quick(), true, 1);
     }
 }

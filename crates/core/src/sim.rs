@@ -1,11 +1,9 @@
-//! The unified experiment entry point: [`SimBuilder`] + [`Design`].
+//! The one experiment entry point: [`SimBuilder`] + [`Design`].
 //!
-//! Historically every runner exposed three entry points (`run_X`,
-//! `run_X_report`, `run_X_report_traced`) and fault injection would have
-//! added a fourth axis. `SimBuilder` collapses the matrix: a [`Design`]
-//! names *what* to simulate, the builder configures *how* (testbed, fault
-//! plan, flight recorder), and `run()` always yields a validated-shape
-//! [`RunReport`].
+//! Every design run goes through the builder: a [`Design`] names *what* to
+//! simulate, the builder configures *how* (testbed, fault plan, flight
+//! recorder, profiling, scoped metrics), and `run()` always yields a
+//! validated-shape [`RunReport`].
 //!
 //! ```
 //! use rambda::{Design, SimBuilder, Testbed};
@@ -36,7 +34,7 @@ use rambda_metrics::{MetricSet, RunReport, ScopeConfig, ScopedMetrics, StageReco
 use rambda_trace::Tracer;
 
 use crate::config::Testbed;
-use crate::driver::{Execution, RunStats};
+use crate::driver::RunStats;
 use crate::report::build_report;
 
 /// Everything a runner needs besides its own parameters: the stage
@@ -46,7 +44,7 @@ use crate::report::build_report;
 /// Runners receive this by value and destructure it; the borrows inside
 /// live for the duration of one `run()`.
 pub struct SimCtx<'a> {
-    /// Per-stage latency recorder (always active under the builder).
+    /// Per-stage latency recorder.
     pub rec: &'a mut StageRecorder,
     /// Resource counter sink for the final report.
     pub resources: &'a mut MetricSet,
@@ -55,44 +53,11 @@ pub struct SimCtx<'a> {
     /// Fault plan to install on the run's `Network` (disabled by default).
     /// Single-machine designs without a network ignore it.
     pub faults: &'a FaultConfig,
-    /// Whether the run is being profiled: designs with a network record
-    /// per-machine-pair lookahead bounds and publish them, and the builder
-    /// attaches event-core telemetry to the report.
-    pub profile: bool,
     /// Per-entity scoped metrics; `ScopedMetrics::disabled()` unless the
     /// builder enabled scoping. Designs tag each request with its scope
     /// (shard, replica, table) and feed hot keys into the sketch; the
     /// builder folds the registry into the report's `scopes` section.
     pub scopes: &'a mut ScopedMetrics,
-    /// Requested execution mode. Runners thread this into
-    /// [`run_closed_loop_exec`](crate::run_closed_loop_exec) together with
-    /// their fabric's lookahead bound; designs without a usable lookahead
-    /// pass `Span::ZERO` and the driver falls back to serial.
-    pub exec: Execution,
-}
-
-/// Builds a throwaway [`SimCtx`] (disabled recorder, tracer and fault
-/// plan) bound to `$ctx`, for the stats-only `run_*` entry points that
-/// predate the builder. Internal plumbing for the runner crates.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! rambda_stats_only_ctx {
-    ($ctx:ident) => {
-        let mut rec = ::rambda_metrics::StageRecorder::disabled();
-        let mut resources = ::rambda_metrics::MetricSet::new();
-        let mut tracer = ::rambda_trace::Tracer::disabled();
-        let faults = ::rambda_fabric::FaultConfig::disabled();
-        let mut scopes = ::rambda_metrics::ScopedMetrics::disabled();
-        let $ctx = $crate::SimCtx {
-            rec: &mut rec,
-            resources: &mut resources,
-            tracer: &mut tracer,
-            faults: &faults,
-            profile: false,
-            scopes: &mut scopes,
-            exec: $crate::Execution::Serial,
-        };
-    };
 }
 
 /// The boxed runner closure a [`Design`] carries.
@@ -148,7 +113,6 @@ pub struct SimBuilder<'a> {
     tracer: Option<&'a mut Tracer>,
     profile: bool,
     scopes: Option<ScopeConfig>,
-    execution: Execution,
 }
 
 impl<'a> SimBuilder<'a> {
@@ -162,19 +126,7 @@ impl<'a> SimBuilder<'a> {
             tracer: None,
             profile: false,
             scopes: None,
-            execution: Execution::Serial,
         }
-    }
-
-    /// Selects the execution mode (default [`Execution::Serial`]).
-    ///
-    /// `Execution::Conservative { workers }` runs the design under the
-    /// lookahead-windowed partitioned executor; the resulting report is
-    /// byte-identical to a serial run of the same design and seed, with the
-    /// mode recorded in [`RunReport::execution`](RunReport).
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Uses `testbed` instead of the default configuration.
@@ -200,7 +152,8 @@ impl<'a> SimBuilder<'a> {
 
     /// Enables deterministic profiling: the report gains an `event_core`
     /// section (scheduler telemetry with validated conservation identities)
-    /// and network designs publish per-machine-pair lookahead bounds.
+    /// and its `event_core.*` counter mirror. Profiling only observes, so
+    /// every other field of the report is unchanged.
     pub fn profile(mut self) -> Self {
         self.profile = true;
         self
@@ -231,20 +184,12 @@ impl<'a> SimBuilder<'a> {
             resources: &mut resources,
             tracer,
             faults: &self.faults,
-            profile: self.profile,
             scopes: &mut scoped,
-            exec: self.execution,
         };
         let stats = (self.design.run)(&self.testbed, ctx);
         let mut report = build_report(self.design.name, self.design.seed, &stats, &mut rec, resources);
-        report.execution = self.execution.label();
         if self.profile {
-            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0).with_exec(
-                stats.exec.partitions,
-                stats.exec.windows,
-                stats.exec.barriers,
-                stats.exec.horizon_stalls,
-            ));
+            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
         }
         if scoped.is_active() {
             report.attach_scopes(scoped.finalize(report.timeline.as_ref()));
@@ -261,7 +206,7 @@ mod tests {
 
     fn toy_design(seed: u64) -> Design {
         Design::from_runner("toy", seed, |_tb, ctx| {
-            let SimCtx { rec, resources, tracer, faults, profile: _, scopes, exec: _ } = ctx;
+            let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
             assert!(!faults.is_active(), "toy design runs healthy");
             let scope_names = ["conn/0", "conn/1"];
             let mut server = Server::new(2);

@@ -80,35 +80,6 @@ pub struct EventCoreStats {
     pub kinds: Vec<KindStats>,
 }
 
-impl EventCoreStats {
-    /// Folds `other` into `self`, summing every scalar counter and merging
-    /// the per-kind breakdowns by name (kinds only `other` knows are
-    /// appended). The conservative parallel executor uses this to reduce
-    /// its per-partition queue telemetry into one run-level section whose
-    /// conservation identities still hold — every identity is additive.
-    pub fn absorb(&mut self, other: &EventCoreStats) {
-        self.enqueued += other.enqueued;
-        self.dispatched += other.dispatched;
-        self.cancelled += other.cancelled;
-        self.dwell_ps += other.dwell_ps;
-        self.drain_hits += other.drain_hits;
-        self.near_hits += other.near_hits;
-        self.far_hits += other.far_hits;
-        self.reanchors += other.reanchors;
-        self.redistributed += other.redistributed;
-        for k in &other.kinds {
-            match self.kinds.iter_mut().find(|mine| mine.name == k.name) {
-                Some(mine) => {
-                    mine.pushes += k.pushes;
-                    mine.pops += k.pops;
-                    mine.held_ps += k.held_ps;
-                }
-                None => self.kinds.push(k.clone()),
-            }
-        }
-    }
-}
-
 /// A deterministic time-ordered queue of events.
 ///
 /// Ties on time pop in insertion order, so simulations are fully
@@ -247,20 +218,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `at`, attributing it to `kind` in the telemetry.
     pub fn push_kind(&mut self, at: SimTime, kind: EventKind, event: E) {
-        self.push_kind_at_seq(at, kind, self.seq, event);
-    }
-
-    /// Schedules `event` at `at` under a caller-supplied insertion sequence.
-    ///
-    /// The conservative parallel executor shards events across per-partition
-    /// queues but must preserve the *global* (time, sequence) pop order the
-    /// serial executor would produce; it threads one shared counter through
-    /// every partition's pushes. `seq` must be at least this queue's own next
-    /// sequence (sequences are the FIFO tie-break — reusing a smaller one
-    /// would reorder ties).
-    pub fn push_kind_at_seq(&mut self, at: SimTime, kind: EventKind, seq: u64, event: E) {
-        debug_assert!(seq >= self.seq, "insertion sequence must not move backwards");
-        self.seq = seq + 1;
+        let seq = self.seq;
+        self.seq += 1;
         let idx = self.alloc(event);
         let ticket = (at, seq, idx, kind.0);
         self.len += 1;
@@ -370,31 +329,6 @@ impl<E> EventQueue<E> {
         self.stats.dispatched += 1;
         self.stats.kinds[kind as usize].pops += 1;
         Some((at, self.release(idx)))
-    }
-
-    /// The `(time, sequence)` key of the earliest event, if any.
-    ///
-    /// Takes `&mut self` so it can promote the next wheel bucket into the
-    /// drain (amortized O(1), exactly the work the next `pop` would do
-    /// anyway) — the conservative executor's k-way merge peeks every
-    /// partition per step, so the peek must not rescan buckets.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.drain.is_empty() && !self.refill_drain() {
-            return None;
-        }
-        self.drain.last().map(|&(at, seq, _, _)| (at, seq))
-    }
-
-    /// Removes and returns the earliest event iff its time is at or before
-    /// `horizon` — the window-bounded drain the conservative executor runs
-    /// each partition's wheel with. The horizon is *inclusive*: an event
-    /// landing exactly on the safe horizon is still causally safe to fire
-    /// (lookahead is a strict lower bound on cross-partition latency).
-    pub fn pop_within(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_key() {
-            Some((at, _)) if at <= horizon => self.pop(),
-            _ => None,
-        }
     }
 
     /// The time of the earliest event, if any.
@@ -546,81 +480,6 @@ mod tests {
         assert_eq!(s.kinds.iter().map(|k| k.pops).sum::<u64>(), s.dispatched);
         assert_eq!(s.reanchors, 1);
         assert_eq!(s.redistributed, 1);
-    }
-
-    #[test]
-    fn peek_key_reports_time_and_sequence() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_key(), None);
-        q.push(SimTime::from_ns(20), "b");
-        q.push(SimTime::from_ns(10), "a");
-        assert_eq!(q.peek_key(), Some((SimTime::from_ns(10), 1)));
-        q.pop();
-        assert_eq!(q.peek_key(), Some((SimTime::from_ns(20), 0)));
-    }
-
-    #[test]
-    fn pop_within_is_horizon_inclusive() {
-        // The window-bounded drain: an event exactly on the horizon fires,
-        // one a picosecond past it waits for the next window.
-        let mut q = EventQueue::new();
-        let horizon = SimTime::from_ns(100);
-        q.push(horizon, "on");
-        q.push(horizon + crate::time::Span::from_ps(1), "past");
-        assert_eq!(q.pop_within(horizon).unwrap().1, "on");
-        assert_eq!(q.pop_within(horizon), None);
-        assert_eq!(q.len(), 1, "the past-horizon event is still pending");
-        assert_eq!(q.pop().unwrap().1, "past");
-    }
-
-    #[test]
-    fn shared_sequence_preserves_global_fifo_across_queues() {
-        // Two partition queues fed from one global counter must merge back
-        // into exactly the order a single queue would have popped.
-        let mut single = EventQueue::new();
-        let mut parts: [EventQueue<u64>; 2] = [EventQueue::new(), EventQueue::new()];
-        for i in 0..64u64 {
-            let at = SimTime::from_ns(i / 8); // plenty of same-time ties
-            single.push(at, i);
-            // The global sequence number is the push index.
-            parts[(i % 2) as usize].push_kind_at_seq(at, EventKind(0), i, i);
-        }
-        let serial: Vec<u64> = std::iter::from_fn(|| single.pop().map(|(_, e)| e)).collect();
-        let mut merged = Vec::new();
-        loop {
-            let best = match (parts[0].peek_key(), parts[1].peek_key()) {
-                (Some(a), Some(b)) => usize::from(b < a),
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (None, None) => break,
-            };
-            merged.push(parts[best].pop().unwrap().1);
-        }
-        assert_eq!(serial, merged);
-    }
-
-    #[test]
-    fn stats_absorb_merges_scalars_and_kinds() {
-        let mut a = EventQueue::new();
-        let ka = a.kind("serve");
-        a.push(SimTime::from_ns(10), 1);
-        a.push_kind(SimTime::from_ns(20), ka, 2);
-        while a.pop().is_some() {}
-        let mut b = EventQueue::new();
-        let kb = b.kind("reply");
-        b.push_kind(SimTime::from_ns(5), kb, 3);
-        b.pop();
-        let mut total = a.stats().clone();
-        total.absorb(b.stats());
-        assert_eq!(total.enqueued, 3);
-        assert_eq!(total.dispatched, 3);
-        assert_eq!(total.dwell_ps, a.stats().dwell_ps + b.stats().dwell_ps);
-        assert_eq!(total.drain_hits + total.near_hits + total.far_hits, total.enqueued);
-        assert_eq!(total.kinds.iter().map(|k| k.pushes).sum::<u64>(), total.enqueued);
-        // "event" merged by name; "serve"/"reply" each carried over.
-        assert_eq!(total.kinds.iter().filter(|k| k.name == "event").count(), 1);
-        assert!(total.kinds.iter().any(|k| k.name == "serve"));
-        assert!(total.kinds.iter().any(|k| k.name == "reply"));
     }
 
     #[test]

@@ -20,4 +20,4 @@ pub mod serving;
 
 pub use merci::{MemoTable, ReductionPlan};
 pub use model::{DlrmModel, EmbeddingTable, Mlp, ReduceOp};
-pub use serving::{run_cpu, run_rambda, DlrmCosts, DlrmDesigns, DlrmParams};
+pub use serving::{DlrmCosts, DlrmDesigns, DlrmParams};

@@ -8,7 +8,7 @@
 //! (with MERCI memoization) and the lightweight FC layers, and responds
 //! through the RNIC.
 
-use rambda::{cpu::CpuServer, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, DataLocation};
 use rambda_des::Link;
 use rambda_des::{Server, SimRng, SimTime, Span};
@@ -221,29 +221,19 @@ pub trait DlrmDesigns {
 
 impl DlrmDesigns for Design {
     fn dlrm_cpu(params: DlrmParams, cores: usize) -> Design {
-        Design::from_runner("dlrm.cpu", params.seed, move |tb, ctx| run_cpu_inner(tb, &params, cores, ctx))
+        Design::from_runner("dlrm.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, cores, ctx))
     }
 
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design {
-        Design::from_runner("dlrm.rambda", params.seed, move |tb, ctx| {
-            run_rambda_inner(tb, &params, location, ctx)
-        })
+        Design::from_runner("dlrm.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
     }
 }
 
 /// The CPU-only MERCI baseline on `cores` cores.
-pub fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, cores, ctx)
-}
-
-fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut world = DlrmWorld::new(params);
@@ -257,8 +247,7 @@ fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimC
     let costs = params.costs.clone();
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let (plan, wire, _score) = world.next_query(params);
         observe_plan(scopes, &plan);
@@ -317,39 +306,23 @@ fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimC
         fin
     });
     drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        resources.observe_server("cores", &core_pool);
-        resources.observe_link("gather", &gather);
-        net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    client.publish_metrics(resources, "client");
+    server.publish_metrics(resources, "server");
+    resources.observe_server("cores", &core_pool);
+    resources.observe_link("gather", &gather);
+    net.publish_metrics(resources, "net");
+    net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 /// Rambda-DLRM: accelerator-terminated RPC, CPU pre-processing hand-off,
 /// APU embedding reduction + FC. `location` selects prototype (HostDram) or
 /// the local-memory variants.
-pub fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, ctx)
-}
-
-fn run_rambda_inner(
-    testbed: &Testbed,
-    params: &DlrmParams,
-    location: DataLocation,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, false);
     let mut server = rambda::Machine::new(SERVER, testbed, false);
     let mut engine = AccelEngine::new(testbed.accel_config(location, true));
@@ -371,8 +344,7 @@ fn run_rambda_inner(
     let local_row = (row as f64 * costs.local_gather_overhead) as u64;
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let (plan, wire, _score) = world.next_query(params);
         observe_plan(scopes, &plan);
@@ -456,17 +428,14 @@ fn run_rambda_inner(
         fin
     });
     drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        engine.publish_metrics(resources, "accel");
-        preprocess_cores.publish_metrics(resources, "preprocess");
-        resources.observe_server("apu_dispatch", &dispatch);
-        net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    client.publish_metrics(resources, "client");
+    server.publish_metrics(resources, "server");
+    engine.publish_metrics(resources, "accel");
+    preprocess_cores.publish_metrics(resources, "preprocess");
+    resources.observe_server("apu_dispatch", &dispatch);
+    net.publish_metrics(resources, "net");
+    net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
@@ -480,9 +449,20 @@ fn charge_write(mem: &mut MemorySystem, at: rambda_des::SimTime, kind: MemKind, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rambda::SimBuilder;
 
-    fn tb() -> Testbed {
-        Testbed::default()
+    fn cpu_mops(p: &DlrmParams, cores: usize) -> f64 {
+        SimBuilder::new(Design::dlrm_cpu(p.clone(), cores))
+            .config(&Testbed::default())
+            .run()
+            .throughput_mops()
+    }
+
+    fn rambda_mops(p: &DlrmParams, location: DataLocation) -> f64 {
+        SimBuilder::new(Design::dlrm_rambda(p.clone(), location))
+            .config(&Testbed::default())
+            .run()
+            .throughput_mops()
     }
 
     fn books() -> DlrmParams {
@@ -492,11 +472,11 @@ mod tests {
     #[test]
     fn fig13_books_matches_paper_bands() {
         let p = books();
-        let c1 = run_cpu(&tb(), &p, 1).throughput_mops();
-        let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-        let r = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-        let ld = run_rambda(&tb(), &p, DataLocation::LocalDdr).throughput_mops();
-        let lh = run_rambda(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
+        let c1 = cpu_mops(&p, 1);
+        let c8 = cpu_mops(&p, 8);
+        let r = rambda_mops(&p, DataLocation::HostDram);
+        let ld = rambda_mops(&p, DataLocation::LocalDdr);
+        let lh = rambda_mops(&p, DataLocation::LocalHbm);
 
         // CPU scales ~linearly to 8 cores.
         let scale = c8 / c1;
@@ -517,8 +497,8 @@ mod tests {
     fn fig13_sixteen_cores_saturate() {
         // "scales linearly until eight cores, bounded by memory bandwidth".
         let p = books();
-        let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-        let c16 = run_cpu(&tb(), &p, 16).throughput_mops();
+        let c8 = cpu_mops(&p, 8);
+        let c16 = cpu_mops(&p, 16);
         let gain = c16 / c8;
         assert!((1.0..1.9).contains(&gain), "16/8 = {gain}");
     }
@@ -528,10 +508,10 @@ mod tests {
         for profile in DlrmProfile::all() {
             let mut p = DlrmParams::quick(profile);
             p.queries = 3_000;
-            let c1 = run_cpu(&tb(), &p, 1).throughput_mops();
-            let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-            let r = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-            let lh = run_rambda(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
+            let c1 = cpu_mops(&p, 1);
+            let c8 = cpu_mops(&p, 8);
+            let r = rambda_mops(&p, DataLocation::HostDram);
+            let lh = rambda_mops(&p, DataLocation::LocalHbm);
             let name = p.profile.name;
             assert!(r < 0.7 * c1, "{name}: rambda {r} vs c1 {c1}");
             assert!(lh > c8, "{name}: lh {lh} vs c8 {c8}");
@@ -543,8 +523,8 @@ mod tests {
     fn merci_beats_native_reduction() {
         let p = books();
         let native = DlrmParams { merci: false, ..p.clone() };
-        let with = run_cpu(&tb(), &p, 8).throughput_mops();
-        let without = run_cpu(&tb(), &native, 8).throughput_mops();
+        let with = cpu_mops(&p, 8);
+        let without = cpu_mops(&native, 8);
         assert!(with > 1.15 * without, "merci {with} vs native {without}");
     }
 

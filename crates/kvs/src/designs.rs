@@ -6,7 +6,7 @@
 //! use the modelled footprint. Keys follow uniform or Zipf-0.9 popularity;
 //! workloads are 100 % GET or 50/50 GET/PUT.
 
-use rambda::{cpu::CpuServer, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, Apu, ApuCtx, DataLocation};
 use rambda_des::{Server, SimRng, SimTime, Span};
 use rambda_fabric::{Network, NodeId};
@@ -217,33 +217,23 @@ pub trait KvsDesigns {
 
 impl KvsDesigns for Design {
     fn kvs_cpu(params: KvsParams) -> Design {
-        Design::from_runner("kvs.cpu", params.seed, move |tb, ctx| run_cpu_inner(tb, &params, ctx))
+        Design::from_runner("kvs.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, ctx))
     }
 
     fn kvs_rambda(params: KvsParams, location: DataLocation) -> Design {
-        Design::from_runner("kvs.rambda", params.seed, move |tb, ctx| {
-            run_rambda_inner(tb, &params, location, ctx)
-        })
+        Design::from_runner("kvs.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
     }
 
     fn kvs_smartnic(params: KvsParams) -> Design {
-        Design::from_runner("kvs.smartnic", params.seed, move |tb, ctx| run_smartnic_inner(tb, &params, ctx))
+        Design::from_runner("kvs.smartnic", params.seed, move |tb, ctx| run_smartnic(tb, &params, ctx))
     }
 }
 
 /// The CPU design: two-sided RDMA RPC over ten cores (HERD/MICA-style).
-pub fn run_cpu(testbed: &Testbed, params: &KvsParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, ctx)
-}
-
-fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_cpu(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut cpu = CpuServer::new(testbed.cpu.clone(), params.cores, params.batch);
@@ -257,8 +247,7 @@ fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunS
     let opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
     let put_value = vec![0xAB; params.value_bytes as usize];
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         let fin = 'req: {
@@ -328,36 +317,20 @@ fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunS
         fin
     });
     drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        cpu.publish_metrics(resources, "cpu");
-        net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    client.publish_metrics(resources, "client");
+    server.publish_metrics(resources, "server");
+    cpu.publish_metrics(resources, "cpu");
+    net.publish_metrics(resources, "net");
+    net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 /// The Rambda design (and its LD/LH variants via `location`).
-pub fn run_rambda(testbed: &Testbed, params: &KvsParams, location: DataLocation) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, ctx)
-}
-
-fn run_rambda_inner(
-    testbed: &Testbed,
-    params: &KvsParams,
-    location: DataLocation,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_rambda(testbed: &Testbed, params: &KvsParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
     let mut client = rambda::Machine::new(CLIENT, testbed, false);
     let mut server = rambda::Machine::new(SERVER, testbed, false);
@@ -382,8 +355,7 @@ fn run_rambda_inner(
     let mut sq = Server::new(1);
     let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         let fin = 'req: {
@@ -460,36 +432,25 @@ fn run_rambda_inner(
         fin
     });
     drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        engine.publish_metrics(resources, "accel");
-        resources.observe_server("sq", &sq);
-        net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    client.publish_metrics(resources, "client");
+    server.publish_metrics(resources, "server");
+    engine.publish_metrics(resources, "accel");
+    resources.observe_server("sq", &sq);
+    net.publish_metrics(resources, "net");
+    net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 /// The Smart NIC design: eight ARM cores, 512 MB on-board cache of the host
 /// data, synchronous one-sided reads to the host on misses.
-pub fn run_smartnic(testbed: &Testbed, params: &KvsParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_smartnic_inner(testbed, params, ctx)
-}
-
-fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_smartnic(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     // The Smart NIC path models raw Ethernet sends (its RPC transport hides
     // recovery in firmware), so only degrade windows of the fault plan
     // reach it — drop/corrupt verdicts apply to RC-QP `transmit`s.
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut nic = SmartNic::new(testbed.smartnic.clone());
@@ -507,8 +468,7 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
     let put_value = vec![0xAB; params.value_bytes as usize];
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         // Client posts; request terminates at the Smart NIC (no host PCIe).
@@ -556,25 +516,36 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
         fin
     });
     drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        nic.publish_metrics(resources, "smartnic");
-        nic_mem.publish_metrics(resources, "nic_mem");
-        net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    client.publish_metrics(resources, "client");
+    server.publish_metrics(resources, "server");
+    nic.publish_metrics(resources, "smartnic");
+    nic_mem.publish_metrics(resources, "nic_mem");
+    net.publish_metrics(resources, "net");
+    net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rambda::SimBuilder;
+    use rambda_metrics::RunReport;
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    fn cpu_report(tb: &Testbed, p: &KvsParams) -> RunReport {
+        SimBuilder::new(Design::kvs_cpu(p.clone())).config(tb).run()
+    }
+
+    fn rambda_report(tb: &Testbed, p: &KvsParams, location: DataLocation) -> RunReport {
+        SimBuilder::new(Design::kvs_rambda(p.clone(), location)).config(tb).run()
+    }
+
+    fn smartnic_report(tb: &Testbed, p: &KvsParams) -> RunReport {
+        SimBuilder::new(Design::kvs_smartnic(p.clone())).config(tb).run()
     }
 
     #[test]
@@ -582,8 +553,8 @@ mod tests {
         // "Rambda's peak throughput is 2.3%-8.3% higher than CPU" (both
         // network-bound; one-sided beats two-sided slightly).
         let p = KvsParams::quick();
-        let cpu = run_cpu(&tb(), &p).throughput_mops();
-        let rambda = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
+        let cpu = cpu_report(&tb(), &p).throughput_mops();
+        let rambda = rambda_report(&tb(), &p, DataLocation::HostDram).throughput_mops();
         let gain = rambda / cpu - 1.0;
         assert!((0.01..0.20).contains(&gain), "gain={gain} cpu={cpu} rambda={rambda}");
         // Both near the network bound for 64B messages.
@@ -594,17 +565,17 @@ mod tests {
     fn fig8_distribution_hits_smartnic_not_cpu_or_rambda() {
         let uniform = KvsParams::quick();
         let zipf = KvsParams::quick().with_zipf(0.9);
-        let snic_u = run_smartnic(&tb(), &uniform).throughput_mops();
-        let snic_z = run_smartnic(&tb(), &zipf).throughput_mops();
+        let snic_u = smartnic_report(&tb(), &uniform).throughput_mops();
+        let snic_z = smartnic_report(&tb(), &zipf).throughput_mops();
         let ratio = snic_u / snic_z;
         assert!((0.15..0.55).contains(&ratio), "uniform/zipf={ratio}");
 
-        let cpu_u = run_cpu(&tb(), &uniform).throughput_mops();
-        let cpu_z = run_cpu(&tb(), &zipf).throughput_mops();
+        let cpu_u = cpu_report(&tb(), &uniform).throughput_mops();
+        let cpu_z = cpu_report(&tb(), &zipf).throughput_mops();
         assert!(((cpu_u / cpu_z) - 1.0).abs() < 0.08, "cpu {cpu_u} vs {cpu_z}");
 
-        let r_u = run_rambda(&tb(), &uniform, DataLocation::HostDram).throughput_mops();
-        let r_z = run_rambda(&tb(), &zipf, DataLocation::HostDram).throughput_mops();
+        let r_u = rambda_report(&tb(), &uniform, DataLocation::HostDram).throughput_mops();
+        let r_z = rambda_report(&tb(), &zipf, DataLocation::HostDram).throughput_mops();
         assert!(((r_u / r_z) - 1.0).abs() < 0.08, "rambda {r_u} vs {r_z}");
 
         // Smart NIC is far below both.
@@ -616,9 +587,9 @@ mod tests {
         // "extra memory bandwidth does not help ... the network has reached
         // its limit".
         let p = KvsParams::quick();
-        let rambda = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-        let ld = run_rambda(&tb(), &p, DataLocation::LocalDdr).throughput_mops();
-        let lh = run_rambda(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
+        let rambda = rambda_report(&tb(), &p, DataLocation::HostDram).throughput_mops();
+        let ld = rambda_report(&tb(), &p, DataLocation::LocalDdr).throughput_mops();
+        let lh = rambda_report(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
         assert!((ld / rambda - 1.0).abs() < 0.1, "ld={ld} rambda={rambda}");
         assert!((lh / rambda - 1.0).abs() < 0.1, "lh={lh} rambda={rambda}");
     }
@@ -628,8 +599,8 @@ mod tests {
         // MICA-style partitioning: 50/50 PUT performs close to GET-only.
         let p = KvsParams::quick();
         let w = KvsParams::quick().with_workload(KvsWorkload::WriteIntensive);
-        let get_only = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-        let mixed = run_rambda(&tb(), &w, DataLocation::HostDram).throughput_mops();
+        let get_only = rambda_report(&tb(), &p, DataLocation::HostDram).throughput_mops();
+        let mixed = rambda_report(&tb(), &w, DataLocation::HostDram).throughput_mops();
         assert!((mixed / get_only - 1.0).abs() < 0.15, "{mixed} vs {get_only}");
     }
 
@@ -641,8 +612,8 @@ mod tests {
         // saturation identity, dominates.
         let mut p = KvsParams::quick();
         p.window = 2;
-        let cpu = run_cpu(&tb(), &p);
-        let rambda = run_rambda(&tb(), &p, DataLocation::HostDram);
+        let cpu = cpu_report(&tb(), &p);
+        let rambda = rambda_report(&tb(), &p, DataLocation::HostDram);
         assert!(
             rambda.p99_us() < 0.9 * cpu.p99_us(),
             "rambda p99 {} vs cpu p99 {}",
@@ -660,8 +631,8 @@ mod tests {
     #[test]
     fn fig9_smartnic_latency_suffers_under_uniform() {
         let p = KvsParams::quick();
-        let snic = run_smartnic(&tb(), &p);
-        let cpu = run_cpu(&tb(), &p);
+        let snic = smartnic_report(&tb(), &p);
+        let cpu = cpu_report(&tb(), &p);
         assert!(snic.mean_us() > 1.5 * cpu.mean_us(), "snic {} cpu {}", snic.mean_us(), cpu.mean_us());
     }
 
@@ -669,8 +640,8 @@ mod tests {
     fn fig10_batching_helps_throughput() {
         let p32 = KvsParams::quick().with_zipf(0.9);
         let p1 = KvsParams::quick().with_zipf(0.9).with_batch(1);
-        let r32 = run_rambda(&tb(), &p32, DataLocation::HostDram);
-        let r1 = run_rambda(&tb(), &p1, DataLocation::HostDram);
+        let r32 = rambda_report(&tb(), &p32, DataLocation::HostDram);
+        let r1 = rambda_report(&tb(), &p1, DataLocation::HostDram);
         // Rambda gains ~2x from doorbell batching.
         let gain = r32.throughput_mops() / r1.throughput_mops();
         assert!((1.4..4.0).contains(&gain), "rambda batching gain={gain}");
@@ -681,8 +652,8 @@ mod tests {
         c32p.cores = 2;
         let mut c1p = c32p.clone().with_batch(1);
         c1p.cores = 2;
-        let c32 = run_cpu(&tb(), &c32p);
-        let c1 = run_cpu(&tb(), &c1p);
+        let c32 = cpu_report(&tb(), &c32p);
+        let c1 = cpu_report(&tb(), &c1p);
         let cpu_gain = c32.throughput_mops() / c1.throughput_mops();
         assert!(cpu_gain > 2.0, "cpu per-core batching gain={cpu_gain}");
     }
@@ -695,14 +666,14 @@ mod tests {
         let p = KvsParams::quick();
         let t25 = Testbed::default();
         let t100 = Testbed::default().with_network_gbps(100.0);
-        let r25 = run_rambda(&t25, &p, DataLocation::HostDram).throughput_mops();
-        let r100 = run_rambda(&t100, &p, DataLocation::HostDram).throughput_mops();
+        let r25 = rambda_report(&t25, &p, DataLocation::HostDram).throughput_mops();
+        let r100 = rambda_report(&t100, &p, DataLocation::HostDram).throughput_mops();
         // The wire stops binding and the RNIC's per-message pipeline takes
         // over (~20 Mops at 50ns/WQE), so scaling is substantial but not 4x.
         let scale = r100 / r25;
         assert!(scale > 1.5, "Rambda 25->100GbE scale {scale}");
-        let c25 = run_cpu(&t25, &p).throughput_mops();
-        let c100 = run_cpu(&t100, &p).throughput_mops();
+        let c25 = cpu_report(&t25, &p).throughput_mops();
+        let c100 = cpu_report(&t100, &p).throughput_mops();
         assert!(
             r100 / c100 > r25 / c25,
             "Rambda's edge should widen at 100GbE: {r100}/{c100} vs {r25}/{c25}"
@@ -714,8 +685,8 @@ mod tests {
         // "Rambda does not need to wait for a full batch to start
         // processing": its latency grows far slower than CPU's with batch.
         let mk = |b| KvsParams::quick().with_zipf(0.9).with_batch(b);
-        let r1 = run_rambda(&tb(), &mk(1), DataLocation::HostDram).mean_us();
-        let r32 = run_rambda(&tb(), &mk(32), DataLocation::HostDram).mean_us();
+        let r1 = rambda_report(&tb(), &mk(1), DataLocation::HostDram).mean_us();
+        let r32 = rambda_report(&tb(), &mk(32), DataLocation::HostDram).mean_us();
         assert!(r32 < 4.0 * r1, "rambda latency {r1} -> {r32}");
     }
 }

@@ -51,16 +51,6 @@ pub struct EventCoreSummary {
     pub reanchors: u64,
     /// Tickets redistributed from the far overflow across all re-anchors.
     pub redistributed: u64,
-    /// Partitions the conservative executor sharded clients into (0 when
-    /// the run was serial).
-    pub partitions: u64,
-    /// Lookahead windows the conservative executor opened.
-    pub windows: u64,
-    /// Window barriers crossed — equal to `windows` by construction.
-    pub barriers: u64,
-    /// Partition-window pairs that still held events past the horizon when
-    /// a barrier closed; at most `windows * partitions`.
-    pub horizon_stalls: u64,
     /// Per-kind breakdown, in registration order.
     pub kinds: Vec<EventKindSummary>,
 }
@@ -80,10 +70,6 @@ impl EventCoreSummary {
             far_hits: stats.far_hits,
             reanchors: stats.reanchors,
             redistributed: stats.redistributed,
-            partitions: 0,
-            windows: 0,
-            barriers: 0,
-            horizon_stalls: 0,
             kinds: stats
                 .kinds
                 .iter()
@@ -95,18 +81,6 @@ impl EventCoreSummary {
                 })
                 .collect(),
         }
-    }
-
-    /// Records the conservative executor's window/barrier accounting. This
-    /// crate cannot see `rambda`'s `ExecStats` (the dependency points the
-    /// other way), so the four counters arrive as plain values; all zero
-    /// means the run was serial.
-    pub fn with_exec(mut self, partitions: u64, windows: u64, barriers: u64, horizon_stalls: u64) -> Self {
-        self.partitions = partitions;
-        self.windows = windows;
-        self.barriers = barriers;
-        self.horizon_stalls = horizon_stalls;
-        self
     }
 
     /// Publishes every telemetry value as a counter under `prefix`, so the
@@ -123,10 +97,6 @@ impl EventCoreSummary {
         m.set(&format!("{prefix}.tier.far_hits"), self.far_hits);
         m.set(&format!("{prefix}.tier.reanchors"), self.reanchors);
         m.set(&format!("{prefix}.tier.redistributed"), self.redistributed);
-        m.set(&format!("{prefix}.exec.partitions"), self.partitions);
-        m.set(&format!("{prefix}.exec.windows"), self.windows);
-        m.set(&format!("{prefix}.exec.barriers"), self.barriers);
-        m.set(&format!("{prefix}.exec.horizon_stalls"), self.horizon_stalls);
         for k in &self.kinds {
             let base = format!("{prefix}.kind.{}", k.name);
             m.set(&format!("{base}.pushes"), k.pushes);
@@ -151,11 +121,6 @@ impl EventCoreSummary {
         tier.push("far_hits", Json::U64(self.far_hits));
         tier.push("reanchors", Json::U64(self.reanchors));
         tier.push("redistributed", Json::U64(self.redistributed));
-        let mut exec = Json::obj();
-        exec.push("partitions", Json::U64(self.partitions));
-        exec.push("windows", Json::U64(self.windows));
-        exec.push("barriers", Json::U64(self.barriers));
-        exec.push("horizon_stalls", Json::U64(self.horizon_stalls));
         let mut out = Json::obj();
         out.push("enqueued", Json::U64(self.enqueued));
         out.push("dispatched", Json::U64(self.dispatched));
@@ -163,7 +128,6 @@ impl EventCoreSummary {
         out.push("pending", Json::U64(self.pending));
         out.push("dwell_ps", Json::U64(self.dwell_ps));
         out.push("tier", tier);
-        out.push("exec", exec);
         out.push("kinds", kinds);
         out
     }
@@ -196,21 +160,5 @@ mod tests {
         assert_eq!(m.counter("event_core.enqueued"), Some(2));
         assert_eq!(m.counter("event_core.kind.serve.pushes"), Some(1));
         assert_eq!(m.counter("event_core.tier.near_hits"), Some(2));
-        // Serial by default: the exec block publishes all-zero.
-        assert_eq!(m.counter("event_core.exec.partitions"), Some(0));
-    }
-
-    #[test]
-    fn with_exec_records_and_publishes_parallel_counters() {
-        let q: EventQueue<u8> = EventQueue::new();
-        let s = EventCoreSummary::of(q.stats(), 0).with_exec(2, 7, 7, 3);
-        let mut m = MetricSet::new();
-        s.publish_metrics(&mut m, "event_core");
-        assert_eq!(m.counter("event_core.exec.partitions"), Some(2));
-        assert_eq!(m.counter("event_core.exec.windows"), Some(7));
-        assert_eq!(m.counter("event_core.exec.barriers"), Some(7));
-        assert_eq!(m.counter("event_core.exec.horizon_stalls"), Some(3));
-        let json = s.to_json().render();
-        assert!(json.contains("\"exec\"") && json.contains("\"horizon_stalls\""), "{json}");
     }
 }

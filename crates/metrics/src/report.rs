@@ -80,10 +80,9 @@ impl HistSummary {
 /// issue→completion total over the same requests.
 #[derive(Debug, Clone)]
 pub struct StageRecorder {
-    active: bool,
     stages: BTreeMap<&'static str, Histogram>,
     total: Histogram,
-    timeline: Option<Timeline>,
+    timeline: Timeline,
     timeline_summary: Option<TimelineSummary>,
 }
 
@@ -92,49 +91,23 @@ impl StageRecorder {
     /// every [`StageRecorder::request`] completion.
     pub fn active() -> Self {
         StageRecorder {
-            active: true,
             stages: BTreeMap::new(),
             total: Histogram::new(),
-            timeline: Some(Timeline::default()),
+            timeline: Timeline::default(),
             timeline_summary: None,
         }
-    }
-
-    /// A no-op recorder for uninstrumented runs (every call is a cheap
-    /// branch, so the plain `run_*` entry points share the serve code).
-    pub fn disabled() -> Self {
-        StageRecorder {
-            active: false,
-            stages: BTreeMap::new(),
-            total: Histogram::new(),
-            timeline: None,
-            timeline_summary: None,
-        }
-    }
-
-    /// Whether this recorder records.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Records `to - from` under `stage`.
     pub fn segment(&mut self, stage: &'static str, from: SimTime, to: SimTime) {
-        if !self.active {
-            return;
-        }
         self.stages.entry(stage).or_default().record(to.saturating_since(from));
     }
 
     /// Records one request's issue→completion total (and buckets it into
     /// the timeline window its completion falls in).
     pub fn request(&mut self, issued: SimTime, done: SimTime) {
-        if !self.active {
-            return;
-        }
         self.total.record(done.saturating_since(issued));
-        if let Some(tl) = &mut self.timeline {
-            tl.record(issued, done);
-        }
+        self.timeline.record(issued, done);
     }
 
     /// Opens a per-request trace cursor at `issued`.
@@ -160,23 +133,19 @@ impl StageRecorder {
     /// If the timeline's snapshot grid is due at `now`, returns the tick to
     /// stamp a counter snapshot with (see [`StageRecorder::timeline_snapshot`]).
     pub fn timeline_due(&mut self, now: SimTime) -> Option<SimTime> {
-        self.timeline.as_mut()?.due(now)
+        self.timeline.due(now)
     }
 
     /// Stores `set`'s cumulative counters as the timeline snapshot at `tick`.
     pub fn timeline_snapshot(&mut self, tick: SimTime, set: &MetricSet) {
-        if let Some(tl) = &mut self.timeline {
-            tl.snapshot(tick, set);
-        }
+        self.timeline.snapshot(tick, set);
     }
 
     /// Folds the live timeline into its bounded summary; called once by the
     /// report assembly glue with the run makespan and the final resource
     /// counters. A second call overwrites the first.
     pub fn finalize_timeline(&mut self, makespan: Span, finals: &MetricSet) {
-        if let Some(tl) = &self.timeline {
-            self.timeline_summary = Some(tl.finalize(makespan, finals));
-        }
+        self.timeline_summary = Some(self.timeline.finalize(makespan, finals));
     }
 
     /// The finalized timeline, if [`StageRecorder::finalize_timeline`] ran.
@@ -217,7 +186,7 @@ impl ReqTrace<'_> {
     /// [`RunReport::validate`] catches it in release builds.
     pub fn finish(self, done: SimTime) {
         debug_assert!(
-            !self.rec.active || done == self.cursor,
+            done == self.cursor,
             "trace finished at {done:?} but legs cover up to {:?}",
             self.cursor
         );
@@ -257,12 +226,6 @@ pub struct RunReport {
     /// sketches, SLO digest), attached via [`RunReport::attach_scopes`]
     /// when the run enabled scoping.
     pub scopes: Option<ScopesSummary>,
-    /// Execution-mode label (`"serial"` or `"conservative(N)"`), set by the
-    /// builder. Deliberately *not* serialized by [`RunReport::to_json`]: the
-    /// conservative executor's contract is byte-identical report JSON, so
-    /// the mode lives on the struct (and in the profile-only `event_core`
-    /// exec counters), never in the artifact being diffed.
-    pub execution: String,
 }
 
 impl RunReport {
@@ -291,7 +254,6 @@ impl RunReport {
             timeline: rec.timeline_summary().cloned(),
             event_core: None,
             scopes: None,
-            execution: "serial".to_string(),
         };
         report.publish_utilization();
         report
@@ -335,6 +297,21 @@ impl RunReport {
             let util = busy_ps as f64 / (units as f64 * self.elapsed_ps as f64);
             self.resources.gauge(&format!("{base}.utilization"), util);
         }
+    }
+
+    /// Steady-state throughput in Mops.
+    pub fn throughput_mops(&self) -> f64 {
+        self.throughput_ops / 1.0e6
+    }
+
+    /// Post-warm-up mean latency in microseconds.
+    pub fn mean_us(&self) -> f64 {
+        self.latency.mean_us()
+    }
+
+    /// Post-warm-up 99th-percentile latency in microseconds.
+    pub fn p99_us(&self) -> f64 {
+        self.latency.p99_ps as f64 / 1.0e6
     }
 
     /// Per-stage `(name, mean_us, share_of_total_time)` rows, name-sorted.
@@ -596,9 +573,6 @@ impl RunReport {
     ///   (`drain_hits + near_hits + far_hits == enqueued`), and only
     ///   tickets that overflowed to the far tier can be redistributed;
     /// - the per-kind breakdown partitions pushes, pops, and dwell exactly;
-    /// - conservative-executor accounting holds: `barriers == windows`,
-    ///   `horizon_stalls <= windows * partitions`, and a serial run
-    ///   (`partitions == 0`) reports no windows or stalls;
     /// - the counters published under the `event_core` prefix mirror the
     ///   structured section value for value.
     ///
@@ -636,30 +610,9 @@ impl RunReport {
                 ec.enqueued, ec.dispatched, ec.dwell_ps
             ));
         }
-        // Conservative-executor accounting: one barrier closes each window,
-        // and a stall is a (partition, window) pair — a serial run
-        // (partitions == 0) must report no windows at all.
-        if ec.barriers != ec.windows {
-            return Err(format!(
-                "event core crossed {} barriers for {} lookahead windows",
-                ec.barriers, ec.windows
-            ));
-        }
-        if ec.horizon_stalls > ec.windows.saturating_mul(ec.partitions) {
-            return Err(format!(
-                "event core stalled {} times across {} windows × {} partitions",
-                ec.horizon_stalls, ec.windows, ec.partitions
-            ));
-        }
-        if ec.partitions == 0 && (ec.windows != 0 || ec.horizon_stalls != 0) {
-            return Err(format!(
-                "serial run (0 partitions) reports {} windows / {} stalls",
-                ec.windows, ec.horizon_stalls
-            ));
-        }
         // The published counters must mirror the structured section.
         let counter = |name: &str| self.resources.counter(name).unwrap_or(0);
-        let mirror: [(&str, u64); 14] = [
+        let mirror: [(&str, u64); 10] = [
             ("event_core.enqueued", ec.enqueued),
             ("event_core.dispatched", ec.dispatched),
             ("event_core.cancelled", ec.cancelled),
@@ -670,10 +623,6 @@ impl RunReport {
             ("event_core.tier.far_hits", ec.far_hits),
             ("event_core.tier.reanchors", ec.reanchors),
             ("event_core.tier.redistributed", ec.redistributed),
-            ("event_core.exec.partitions", ec.partitions),
-            ("event_core.exec.windows", ec.windows),
-            ("event_core.exec.barriers", ec.barriers),
-            ("event_core.exec.horizon_stalls", ec.horizon_stalls),
         ];
         for (name, expect) in mirror {
             if counter(name) != expect {
@@ -917,17 +866,6 @@ mod tests {
         assert!(rec.stage("missing").is_none());
     }
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut rec = StageRecorder::disabled();
-        let mut tr = rec.trace(ns(0));
-        tr.leg("fabric", ns(10));
-        tr.finish(ns(10));
-        assert!(!rec.is_active());
-        assert_eq!(rec.total().count(), 0);
-        assert_eq!(rec.stages().count(), 0);
-    }
-
     fn sample_report(drop_a_leg: bool) -> RunReport {
         let mut rec = StageRecorder::active();
         let mut latency = Histogram::new();
@@ -1050,10 +988,6 @@ mod tests {
             far_hits: 1,
             reanchors: 1,
             redistributed: 1,
-            partitions: 2,
-            windows: 3,
-            barriers: 3,
-            horizon_stalls: 4,
             kinds: vec![EventKindSummary { name: "event".to_string(), pushes: 10, pops: 9, held_ps: 500 }],
         };
         report.attach_event_core(ec);
@@ -1078,21 +1012,7 @@ mod tests {
         let err = report.validate().unwrap_err();
         assert!(err.contains("telescope"), "{err}");
         report.event_core.as_mut().unwrap().near_hits = 7;
-
-        // Conservative-executor identities: barriers track windows one to
-        // one, stalls are bounded by windows × partitions, and a serial run
-        // (0 partitions) reports no windows.
-        report.event_core.as_mut().unwrap().barriers = 2;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("barriers"), "{err}");
-        report.event_core.as_mut().unwrap().barriers = 3;
-        report.event_core.as_mut().unwrap().horizon_stalls = 7;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("stalled"), "{err}");
-        report.event_core.as_mut().unwrap().horizon_stalls = 0;
-        report.event_core.as_mut().unwrap().partitions = 0;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("serial run"), "{err}");
+        report.validate().expect("restored");
     }
 
     /// Builds a fully-scoped report the way `SimBuilder::run` does: trace

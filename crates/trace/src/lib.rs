@@ -35,24 +35,19 @@
 //! — the sampler integral of busy-time matches the resources' busy-time.
 //!
 //! When disabled ([`Tracer::disabled`]), every call is a branch on a
-//! `None`, so the plain `run_*` entry points share the instrumented serve
-//! code at no measurable cost.
+//! `None`, so untraced runs share the instrumented serve code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod critpath;
 mod event;
 mod export;
 mod hostprof;
-mod profile;
 mod tail;
 mod tracer;
 mod validate;
 
-pub use critpath::{CriticalPathSummary, TrackWork};
 pub use event::{TraceEvent, Track};
 pub use hostprof::HostProf;
-pub use profile::profile_json;
 pub use tail::{TailAttribution, WorstRequest};
 pub use tracer::{ReqObs, Tracer};

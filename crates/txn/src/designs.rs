@@ -6,7 +6,7 @@
 //! Transactions are issued serially by the client (window 1), as in the
 //! paper, so the latency reduction also reflects throughput.
 
-use rambda::{run_closed_loop, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, DataLocation};
 use rambda_des::{SimRng, SimTime, Span};
 use rambda_fabric::{Network, NodeId};
@@ -21,10 +21,9 @@ const CLIENT: NodeId = NodeId(0);
 const PORT0: NodeId = NodeId(1);
 const PORT1: NodeId = NodeId(2);
 
-/// Per-partition RNG stream salts. Each simulated machine draws from its own
+/// Per-machine RNG stream salts. Each simulated machine draws from its own
 /// deterministically salted `SimRng` stream (`SimRng::stream(seed, salt)`),
-/// so partitioning the world across executor workers cannot entangle one
-/// machine's randomness with another's dispatch order.
+/// so one machine's draws never depend on how often another machine drew.
 const CLIENT_WORKLOAD_SALT: u64 = 0xC0;
 const CLIENT_ROUTE_SALT: u64 = 0xC1;
 const PORT0_ACCEL_SALT: u64 = 0xA0;
@@ -162,15 +161,11 @@ pub trait TxnDesigns {
 
 impl TxnDesigns for Design {
     fn txn_hyperloop(params: TxnParams) -> Design {
-        Design::from_runner("txn.hyperloop", params.seed, move |tb, ctx| {
-            run_hyperloop_inner(tb, &params, ctx)
-        })
+        Design::from_runner("txn.hyperloop", params.seed, move |tb, ctx| run_hyperloop(tb, &params, ctx))
     }
 
     fn txn_rambda_tx(params: TxnParams) -> Design {
-        Design::from_runner("txn.rambda_tx", params.seed, move |tb, ctx| {
-            run_rambda_tx_inner(tb, &params, ctx)
-        })
+        Design::from_runner("txn.rambda_tx", params.seed, move |tb, ctx| run_rambda_tx(tb, &params, ctx))
     }
 }
 
@@ -178,20 +173,12 @@ impl TxnDesigns for Design {
 /// one-sided reads to the head; each *write* is one group-RDMA operation
 /// that traverses the whole chain — and multi-write transactions must issue
 /// them sequentially (the Sec. IV-B limitation Rambda removes).
-pub fn run_hyperloop(testbed: &Testbed, params: &TxnParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_hyperloop_inner(testbed, params, ctx)
-}
-
-fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_hyperloop(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut w = TxnWorld::new(testbed, params);
     let mut workload_rng = SimRng::stream(params.seed, CLIENT_WORKLOAD_SALT);
     let mut route_rng = SimRng::stream(params.seed, CLIENT_ROUTE_SALT);
     w.net.install_faults(faults);
-    if profile {
-        w.net.enable_lookahead();
-    }
     let nvm0 = w.port0.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let nvm1 = w.port1.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let spec = params.spec;
@@ -199,8 +186,7 @@ fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
     let opts = WriteOpts { post: PostPath::HostMmio, batch: 1, flags: PostFlags::SIGNALED };
     let scope_names = params.scope_names();
 
-    let lookahead = w.net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut trace = tracer.observe(rec, at);
         let (reads, writes) = w.sample_txn(&spec, params.value_bytes, &mut workload_rng);
         let home = scope_of(&reads, &writes);
@@ -282,15 +268,12 @@ fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
         fin
     });
     drain_faults(&mut w.net, tracer);
-    if rec.is_active() {
-        w.client.publish_metrics(resources, "client");
-        w.port0.publish_metrics(resources, "port0");
-        w.port1.publish_metrics(resources, "port1");
-        w.net.publish_metrics(resources, "net");
-        w.net.publish_lookahead(resources, "net");
-        w.net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    w.client.publish_metrics(resources, "client");
+    w.port0.publish_metrics(resources, "port0");
+    w.port1.publish_metrics(resources, "port1");
+    w.net.publish_metrics(resources, "net");
+    w.net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
@@ -298,22 +281,14 @@ fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
 /// accelerator at each replica parses the log entry near-data, enforces
 /// concurrency control, and forwards along the chain — one chain round per
 /// *transaction*.
-pub fn run_rambda_tx(testbed: &Testbed, params: &TxnParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_rambda_tx_inner(testbed, params, ctx)
-}
-
-fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+fn run_rambda_tx(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut w = TxnWorld::new(testbed, params);
     let mut workload_rng = SimRng::stream(params.seed, CLIENT_WORKLOAD_SALT);
     let mut route_rng = SimRng::stream(params.seed, CLIENT_ROUTE_SALT);
     let mut accel0_rng = SimRng::stream(params.seed, PORT0_ACCEL_SALT);
     let mut accel1_rng = SimRng::stream(params.seed, PORT1_ACCEL_SALT);
     w.net.install_faults(faults);
-    if profile {
-        w.net.enable_lookahead();
-    }
     // Request rings live in NVM and double as the redo log (Sec. IV-B).
     let ring0 = w.port0.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let ring1 = w.port1.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
@@ -325,8 +300,7 @@ fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
     let accel_opts = WriteOpts { post: PostPath::AccelMmio, batch: 1, flags: PostFlags::NONE };
     let scope_names = params.scope_names();
 
-    let lookahead = w.net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut trace = tracer.observe(rec, at);
         let (reads, writes) = w.sample_txn(&spec, params.value_bytes, &mut workload_rng);
         let home = scope_of(&reads, &writes);
@@ -429,17 +403,14 @@ fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
         fin
     });
     drain_faults(&mut w.net, tracer);
-    if rec.is_active() {
-        w.client.publish_metrics(resources, "client");
-        w.port0.publish_metrics(resources, "port0");
-        w.port1.publish_metrics(resources, "port1");
-        accel0.publish_metrics(resources, "accel0");
-        accel1.publish_metrics(resources, "accel1");
-        w.net.publish_metrics(resources, "net");
-        w.net.publish_lookahead(resources, "net");
-        w.net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
+    w.client.publish_metrics(resources, "client");
+    w.port0.publish_metrics(resources, "port0");
+    w.port1.publish_metrics(resources, "port1");
+    accel0.publish_metrics(resources, "accel0");
+    accel1.publish_metrics(resources, "accel1");
+    w.net.publish_metrics(resources, "net");
+    w.net.publish_scoped(scopes, "net");
+    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
@@ -478,9 +449,19 @@ pub fn run_pure_reads(testbed: &Testbed, params: &TxnParams) -> RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rambda::SimBuilder;
+    use rambda_metrics::RunReport;
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    fn hyperloop_report(p: &TxnParams) -> RunReport {
+        SimBuilder::new(Design::txn_hyperloop(p.clone())).config(&tb()).run()
+    }
+
+    fn rambda_tx_report(p: &TxnParams) -> RunReport {
+        SimBuilder::new(Design::txn_rambda_tx(p.clone())).config(&tb()).run()
     }
 
     #[test]
@@ -488,14 +469,9 @@ mod tests {
         // One network round trip + NVM read: far below even the (0,1)
         // write transaction, and identical across designs by construction.
         let p = TxnParams { txns: 2_000, ..TxnParams::quick(TxnSpec::single_write(64)) };
-        let reads = run_pure_reads(&tb(), &p);
-        let writes = run_rambda_tx(&tb(), &p);
-        assert!(
-            reads.mean_us() < 0.5 * writes.mean_us(),
-            "pure read {} vs write txn {}",
-            reads.mean_us(),
-            writes.mean_us()
-        );
+        let reads = run_pure_reads(&tb(), &p).latency.mean().as_us_f64();
+        let writes = rambda_tx_report(&p).mean_us();
+        assert!(reads < 0.5 * writes, "pure read {reads} vs write txn {writes}");
     }
 
     #[test]
@@ -503,8 +479,8 @@ mod tests {
         // (0,1): both designs pay one chain round; Rambda may be up to a few
         // percent slower (UPI on the path).
         let p = TxnParams::quick(TxnSpec::single_write(64));
-        let hl = run_hyperloop(&tb(), &p).mean_us();
-        let rt = run_rambda_tx(&tb(), &p).mean_us();
+        let hl = hyperloop_report(&p).mean_us();
+        let rt = rambda_tx_report(&p).mean_us();
         // Paper: "may even be a bit (less than 3%) slower"; our accelerator
         // model charges slightly more per-hop work (doorbells are explicit
         // rather than RNIC-firmware-triggered), so allow up to ~15%.
@@ -517,8 +493,8 @@ mod tests {
         // (4,2): HyperLoop pays 4 read RTTs + 2 chain rounds; Rambda pays
         // one chain round. Paper: 63.2%-66.8% lower average latency.
         let p = TxnParams::quick(TxnSpec::read_write(64));
-        let hl = run_hyperloop(&tb(), &p);
-        let rt = run_rambda_tx(&tb(), &p);
+        let hl = hyperloop_report(&p);
+        let rt = rambda_tx_report(&p);
         let saving = 1.0 - rt.mean_us() / hl.mean_us();
         assert!((0.5..0.8).contains(&saving), "saving={saving} hl={} rt={}", hl.mean_us(), rt.mean_us());
         // Tail saving in the same band (64.5%-69.1% in the paper).
@@ -530,11 +506,11 @@ mod tests {
     fn fig12_larger_values_cost_more() {
         let small = TxnParams::quick(TxnSpec::read_write(64));
         let large = TxnParams::quick(TxnSpec::read_write(1024));
-        let s = run_rambda_tx(&tb(), &small).mean_us();
-        let l = run_rambda_tx(&tb(), &large).mean_us();
+        let s = rambda_tx_report(&small).mean_us();
+        let l = rambda_tx_report(&large).mean_us();
         assert!(l > s, "1024B ({l}) should cost more than 64B ({s})");
-        let hs = run_hyperloop(&tb(), &small).mean_us();
-        let hlat = run_hyperloop(&tb(), &large).mean_us();
+        let hs = hyperloop_report(&small).mean_us();
+        let hlat = hyperloop_report(&large).mean_us();
         assert!(hlat > hs);
     }
 
@@ -543,8 +519,8 @@ mod tests {
         // The functional chain inside each run must not diverge; re-run a
         // small workload and check.
         let p = TxnParams { txns: 500, ..TxnParams::quick(TxnSpec::read_write(64)) };
-        let _ = run_hyperloop(&tb(), &p);
-        let _ = run_rambda_tx(&tb(), &p);
+        let _ = hyperloop_report(&p);
+        let _ = rambda_tx_report(&p);
         // Direct functional check.
         let mut world = TxnWorld::new(&tb(), &p);
         let mut workload_rng = SimRng::stream(p.seed, CLIENT_WORKLOAD_SALT);

@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release -p rambda-examples --bin chain_txn`
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_examples::{banner, metric};
-use rambda_txn::{run_hyperloop, run_rambda_tx, Chain, TxnParams, TxnWrite};
+use rambda_txn::{Chain, TxnDesigns, TxnParams, TxnWrite};
 use rambda_workloads::TxnSpec;
 
 fn main() {
@@ -40,8 +40,8 @@ fn main() {
         ("(4,2) x 1KB ", TxnSpec::read_write(1024)),
     ] {
         let params = TxnParams::quick(spec);
-        let hl = run_hyperloop(&testbed, &params);
-        let rt = run_rambda_tx(&testbed, &params);
+        let hl = SimBuilder::new(Design::txn_hyperloop(params.clone())).config(&testbed).run();
+        let rt = SimBuilder::new(Design::txn_rambda_tx(params)).config(&testbed).run();
         metric(
             label,
             format!(

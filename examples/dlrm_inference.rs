@@ -4,12 +4,11 @@
 //!
 //! Run: `cargo run --release -p rambda-examples --bin dlrm_inference`
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_des::SimRng;
 use rambda_dlrm::merci::sample_correlated_query;
-use rambda_dlrm::serving::{run_cpu, run_rambda};
-use rambda_dlrm::{DlrmModel, DlrmParams, MemoTable, ReductionPlan};
+use rambda_dlrm::{DlrmDesigns, DlrmModel, DlrmParams, MemoTable, ReductionPlan};
 use rambda_examples::{banner, metric};
 use rambda_workloads::{DlrmProfile, Zipf};
 
@@ -35,11 +34,12 @@ fn main() {
     banner("Fig. 13 style serving comparison (Books)");
     let testbed = Testbed::default();
     let params = DlrmParams::quick(profile);
-    let c1 = run_cpu(&testbed, &params, 1).throughput_mops();
-    let c8 = run_cpu(&testbed, &params, 8).throughput_mops();
-    let rambda = run_rambda(&testbed, &params, DataLocation::HostDram).throughput_mops();
-    let ld = run_rambda(&testbed, &params, DataLocation::LocalDdr).throughput_mops();
-    let lh = run_rambda(&testbed, &params, DataLocation::LocalHbm).throughput_mops();
+    let mops = |design: Design| SimBuilder::new(design).config(&testbed).run().throughput_mops();
+    let c1 = mops(Design::dlrm_cpu(params.clone(), 1));
+    let c8 = mops(Design::dlrm_cpu(params.clone(), 8));
+    let rambda = mops(Design::dlrm_rambda(params.clone(), DataLocation::HostDram));
+    let ld = mops(Design::dlrm_rambda(params.clone(), DataLocation::LocalDdr));
+    let lh = mops(Design::dlrm_rambda(params, DataLocation::LocalHbm));
     metric("CPU x1 (Mq/s)", format!("{c1:.2}"));
     metric("CPU x8 (Mq/s)", format!("{c8:.2}"));
     metric("Rambda prototype (Mq/s)", format!("{rambda:.2}  ({:.0}% of one core)", rambda / c1 * 100.0));

@@ -4,12 +4,11 @@
 //!
 //! Run: `cargo run --release -p rambda-examples --bin kvs_cluster`
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_examples::{banner, metric};
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
 use rambda_kvs::store::{KvConfig, KvStore};
-use rambda_kvs::{KvsParams, KvsWorkload};
+use rambda_kvs::{KvsDesigns, KvsParams, KvsWorkload};
 
 fn main() {
     banner("functional store sanity");
@@ -20,20 +19,21 @@ fn main() {
     metric("memory accesses for that GET", trace.accesses());
 
     let testbed = Testbed::default();
+    let run = |design: Design| SimBuilder::new(design).config(&testbed).run();
     let params = KvsParams::quick().with_zipf(0.9).with_workload(KvsWorkload::WriteIntensive);
 
     banner("50/50 GET/PUT, zipf 0.9, batch 32");
-    let cpu = run_cpu(&testbed, &params);
-    let snic = run_smartnic(&testbed, &params);
-    let rambda = run_rambda(&testbed, &params, DataLocation::HostDram);
-    for (name, stats) in [("CPU x10 cores", &cpu), ("Smart NIC", &snic), ("Rambda", &rambda)] {
+    let cpu = run(Design::kvs_cpu(params.clone()));
+    let snic = run(Design::kvs_smartnic(params.clone()));
+    let rambda = run(Design::kvs_rambda(params, DataLocation::HostDram));
+    for (name, report) in [("CPU x10 cores", &cpu), ("Smart NIC", &snic), ("Rambda", &rambda)] {
         metric(
             name,
             format!(
                 "{:>6.2} Mops   avg {:>6.2} us   p99 {:>6.2} us",
-                stats.throughput_mops(),
-                stats.mean_us(),
-                stats.p99_us()
+                report.throughput_mops(),
+                report.mean_us(),
+                report.p99_us()
             ),
         );
     }
@@ -41,10 +41,10 @@ fn main() {
     banner("key-distribution sensitivity (100% GET)");
     let uniform = KvsParams::quick();
     let zipf = KvsParams::quick().with_zipf(0.9);
-    let snic_u = run_smartnic(&testbed, &uniform).throughput_mops();
-    let snic_z = run_smartnic(&testbed, &zipf).throughput_mops();
-    let rambda_u = run_rambda(&testbed, &uniform, DataLocation::HostDram).throughput_mops();
-    let rambda_z = run_rambda(&testbed, &zipf, DataLocation::HostDram).throughput_mops();
+    let snic_u = run(Design::kvs_smartnic(uniform.clone())).throughput_mops();
+    let snic_z = run(Design::kvs_smartnic(zipf.clone())).throughput_mops();
+    let rambda_u = run(Design::kvs_rambda(uniform, DataLocation::HostDram)).throughput_mops();
+    let rambda_z = run(Design::kvs_rambda(zipf, DataLocation::HostDram)).throughput_mops();
     metric("Smart NIC uniform / zipf", format!("{snic_u:.2} / {snic_z:.2} Mops"));
     metric("Rambda    uniform / zipf", format!("{rambda_u:.2} / {rambda_z:.2} Mops"));
     println!("\nThe Smart NIC collapses when the working set misses its on-board cache;");

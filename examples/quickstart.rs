@@ -9,8 +9,8 @@
 //!
 //! Run: `cargo run --release -p rambda-examples --bin quickstart`
 
-use rambda::micro::{run_cpu, run_rambda, MicroParams};
-use rambda::Testbed;
+use rambda::micro::MicroParams;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_coherence::{AgentId, CpollChecker, Directory, LineAddr};
 use rambda_examples::{banner, metric};
@@ -50,8 +50,10 @@ fn main() {
     banner("3. microbenchmark on the simulated testbed");
     let testbed = Testbed::default();
     let params = MicroParams::quick();
-    let cpu = run_cpu(&testbed, params, 1, 16);
-    let rambda = run_rambda(&testbed, params, DataLocation::HostDram, true, 42);
+    let cpu = SimBuilder::new(Design::micro_cpu(params, 1, 16)).config(&testbed).run();
+    let rambda = SimBuilder::new(Design::micro_rambda(params, DataLocation::HostDram, true, 42))
+        .config(&testbed)
+        .run();
     metric("one CPU core (Mops)", format!("{:.2}", cpu.throughput_mops()));
     metric("Rambda accelerator (Mops)", format!("{:.2}", rambda.throughput_mops()));
     metric("speedup", format!("{:.1}x", rambda.throughput_mops() / cpu.throughput_mops()));

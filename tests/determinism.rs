@@ -1,51 +1,52 @@
 //! Reproducibility: every experiment is a deterministic function of its
 //! seed — identical runs, bit-for-bit identical statistics.
 
-use rambda::micro::{run_cpu, run_rambda, MicroParams};
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
-use rambda_kvs::designs as kvs;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::RunReport;
 use rambda_trace::Tracer;
-use rambda_txn::{run_rambda_tx, TxnParams};
+use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
-fn same(a: &rambda::RunStats, b: &rambda::RunStats) -> bool {
+fn run(design: Design) -> RunReport {
+    SimBuilder::new(design).config(&Testbed::default()).run()
+}
+
+fn same(a: &RunReport, b: &RunReport) -> bool {
     a.completed == b.completed
-        && a.throughput_ops == b.throughput_ops
-        && a.latency.mean() == b.latency.mean()
-        && a.latency.percentile(0.99) == b.latency.percentile(0.99)
+        && a.throughput_ops.to_bits() == b.throughput_ops.to_bits()
+        && a.latency.mean_ps == b.latency.mean_ps
+        && a.latency.p99_ps == b.latency.p99_ps
 }
 
 #[test]
 fn micro_runs_are_reproducible() {
-    let tb = Testbed::default();
     let p = MicroParams::quick();
-    let a = run_rambda(&tb, p, DataLocation::HostDram, true, 7);
-    let b = run_rambda(&tb, p, DataLocation::HostDram, true, 7);
+    let a = run(Design::micro_rambda(p, DataLocation::HostDram, true, 7));
+    let b = run(Design::micro_rambda(p, DataLocation::HostDram, true, 7));
     assert!(same(&a, &b));
-    let c = run_rambda(&tb, p.with_nvm(), DataLocation::HostDram, false, 7);
-    let d = run_rambda(&tb, p.with_nvm(), DataLocation::HostDram, false, 7);
+    let c = run(Design::micro_rambda(p.with_nvm(), DataLocation::HostDram, false, 7));
+    let d = run(Design::micro_rambda(p.with_nvm(), DataLocation::HostDram, false, 7));
     assert!(same(&c, &d));
     // The CPU run takes no seed: fully deterministic.
-    assert!(same(&run_cpu(&tb, p, 4, 16), &run_cpu(&tb, p, 4, 16)));
+    assert!(same(&run(Design::micro_cpu(p, 4, 16)), &run(Design::micro_cpu(p, 4, 16))));
 }
 
 #[test]
 fn kvs_runs_are_reproducible_and_seed_sensitive() {
-    let tb = Testbed::default();
     let p = KvsParams { requests: 10_000, ..KvsParams::quick() }.with_zipf(0.9);
-    let a = kvs::run_rambda(&tb, &p, DataLocation::HostDram);
-    let b = kvs::run_rambda(&tb, &p, DataLocation::HostDram);
+    let a = run(Design::kvs_rambda(p.clone(), DataLocation::HostDram));
+    let b = run(Design::kvs_rambda(p.clone(), DataLocation::HostDram));
     assert!(same(&a, &b));
 
     let mut p2 = p.clone();
     p2.seed = p.seed + 1;
-    let c = kvs::run_cpu(&tb, &p);
-    let d = kvs::run_cpu(&tb, &p2);
+    let c = run(Design::kvs_cpu(p));
+    let d = run(Design::kvs_cpu(p2));
     // A different seed produces a (slightly) different run.
-    assert!(c.latency.mean() != d.latency.mean() || c.throughput_ops != d.throughput_ops);
+    assert!(c.latency.mean_ps != d.latency.mean_ps || c.throughput_ops != d.throughput_ops);
 }
 
 #[test]
@@ -60,22 +61,18 @@ fn every_runner_report_is_byte_identical_across_runs() {
     // loop automatically picks up new designs as they are installed.
     let reg = rambda_bench::quick_registry();
     assert!(reg.is_complete(), "quick registry must cover every runner");
-    fn build(design: Design) -> RunReport {
-        SimBuilder::new(design).config(&Testbed::default()).run()
-    }
     for name in reg.names() {
-        let first = build(reg.design(name).unwrap()).to_json_string();
-        let second = build(reg.design(name).unwrap()).to_json_string();
+        let first = run(reg.design(name).unwrap()).to_json_string();
+        let second = run(reg.design(name).unwrap()).to_json_string();
         assert_eq!(first, second, "{name}: report JSON differs between identical runs");
     }
 }
 
 #[test]
 fn txn_runs_are_reproducible() {
-    let tb = Testbed::default();
     let p = TxnParams { txns: 2_000, ..TxnParams::quick(TxnSpec::read_write(64)) };
-    let a = run_rambda_tx(&tb, &p);
-    let b = run_rambda_tx(&tb, &p);
+    let a = run(Design::txn_rambda_tx(p.clone()));
+    let b = run(Design::txn_rambda_tx(p));
     assert!(same(&a, &b));
 }
 

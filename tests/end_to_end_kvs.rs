@@ -2,29 +2,41 @@
 //! workload over the same functional store and must agree functionally
 //! while exhibiting the paper's performance ordering.
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_des::SimRng;
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
 use rambda_kvs::store::{KvConfig, KvStore};
-use rambda_kvs::KvsParams;
+use rambda_kvs::{KvsDesigns, KvsParams};
+use rambda_metrics::RunReport;
 use rambda_workloads::{KeyDist, KvMix};
+
+fn cpu_report(tb: &Testbed, p: &KvsParams) -> RunReport {
+    SimBuilder::new(Design::kvs_cpu(p.clone())).config(tb).run()
+}
+
+fn rambda_report(tb: &Testbed, p: &KvsParams, location: DataLocation) -> RunReport {
+    SimBuilder::new(Design::kvs_rambda(p.clone(), location)).config(tb).run()
+}
+
+fn smartnic_report(tb: &Testbed, p: &KvsParams) -> RunReport {
+    SimBuilder::new(Design::kvs_smartnic(p.clone())).config(tb).run()
+}
 
 #[test]
 fn all_designs_complete_the_full_workload() {
     let tb = Testbed::default();
     let p = KvsParams { requests: 20_000, ..KvsParams::quick() };
     let expected = p.requests - (p.requests as f64 * 0.1) as u64; // post-warm-up
-    for stats in [
-        run_cpu(&tb, &p),
-        run_smartnic(&tb, &p),
-        run_rambda(&tb, &p, DataLocation::HostDram),
-        run_rambda(&tb, &p, DataLocation::LocalDdr),
-        run_rambda(&tb, &p, DataLocation::LocalHbm),
+    for report in [
+        cpu_report(&tb, &p),
+        smartnic_report(&tb, &p),
+        rambda_report(&tb, &p, DataLocation::HostDram),
+        rambda_report(&tb, &p, DataLocation::LocalDdr),
+        rambda_report(&tb, &p, DataLocation::LocalHbm),
     ] {
-        assert_eq!(stats.completed, expected, "lost or duplicated requests");
-        assert!(stats.throughput_ops > 0.0);
-        assert!(stats.latency.count() == stats.completed);
+        assert_eq!(report.completed, expected, "lost or duplicated requests");
+        assert!(report.throughput_ops > 0.0);
+        assert!(report.latency.count == report.completed);
     }
 }
 
@@ -56,9 +68,9 @@ fn designs_see_identical_operation_streams() {
 fn performance_ordering_matches_fig8() {
     let tb = Testbed::default();
     let p = KvsParams { requests: 20_000, ..KvsParams::quick() };
-    let cpu = run_cpu(&tb, &p).throughput_mops();
-    let snic = run_smartnic(&tb, &p).throughput_mops();
-    let rambda = run_rambda(&tb, &p, DataLocation::HostDram).throughput_mops();
+    let cpu = cpu_report(&tb, &p).throughput_mops();
+    let snic = smartnic_report(&tb, &p).throughput_mops();
+    let rambda = rambda_report(&tb, &p, DataLocation::HostDram).throughput_mops();
     assert!(rambda > cpu, "one-sided Rambda should edge out two-sided CPU");
     assert!(cpu > 2.0 * snic, "uniform keys should crush the Smart NIC");
 }
@@ -70,8 +82,8 @@ fn network_saturation_is_the_shared_ceiling() {
     let tb = Testbed::default();
     let p = KvsParams { requests: 30_000, ..KvsParams::quick() };
     let cap = tb.net_msg_rate(72) / 1e6; // GET response: 8 + 64 B payload
-    let rambda = run_rambda(&tb, &p, DataLocation::HostDram).throughput_mops();
-    let cpu = run_cpu(&tb, &p).throughput_mops();
+    let rambda = rambda_report(&tb, &p, DataLocation::HostDram).throughput_mops();
+    let cpu = cpu_report(&tb, &p).throughput_mops();
     assert!(rambda <= cap * 1.02, "rambda {rambda} above wire cap {cap}");
     assert!(rambda >= cap * 0.85, "rambda {rambda} far below wire cap {cap}");
     assert!(cpu >= cap * 0.80, "cpu {cpu} far below wire cap {cap}");
@@ -86,8 +98,8 @@ fn window_scales_latency_not_peak_throughput() {
     small.window = 8;
     let mut big = small.clone();
     big.window = 32;
-    let s = run_rambda(&tb, &small, DataLocation::HostDram);
-    let b = run_rambda(&tb, &big, DataLocation::HostDram);
+    let s = rambda_report(&tb, &small, DataLocation::HostDram);
+    let b = rambda_report(&tb, &big, DataLocation::HostDram);
     assert!((b.throughput_mops() / s.throughput_mops() - 1.0).abs() < 0.1);
     assert!(b.mean_us() > 2.0 * s.mean_us());
 }

@@ -1,28 +1,14 @@
-//! The deterministic profiler is a pure function of the seed: same-seed
-//! runs render byte-identical profile JSON (mirroring `determinism.rs` for
-//! reports), the event-core identities validate, the measured parallelism
-//! ratio is exploitable (> 1.0) on the paper's two headline designs, and
-//! profiling never perturbs the simulated run it observes.
+//! Profile mode is passive and deterministic: a profiled run renders the
+//! same report as the plain run plus its `event_core` section (and that
+//! section's `event_core.*` counter mirror), same-seed profiled reports are
+//! byte-identical, and the event-core section validates.
 
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_kvs::{KvsDesigns, KvsParams};
-use rambda_metrics::RunReport;
-use rambda_trace::{profile_json, Tracer};
+use rambda_metrics::{MetricSet, RunReport};
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
-
-/// Runs `design` once under the profiler and renders its profile JSON.
-fn profiled(design: Design) -> (RunReport, String, f64) {
-    let tb = Testbed::default();
-    let mut tracer = Tracer::flight_recorder();
-    let report = SimBuilder::new(design).config(&tb).tracer(&mut tracer).profile().run();
-    report.validate().expect("profiled report validates its event-core identities");
-    tracer.cross_validate(&report).expect("trace agrees with the report");
-    let ratio = tracer.critical_path().expect("enabled tracer accumulates the critical path");
-    let json = profile_json(&report, &tracer);
-    (report, json, ratio.parallelism_ratio())
-}
 
 fn kvs_design() -> Design {
     Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram)
@@ -32,51 +18,85 @@ fn txn_design() -> Design {
     Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64)))
 }
 
+/// A named design constructor.
+type NamedDesign = (&'static str, fn() -> Design);
+
+/// The two headline designs the profiler is exercised on.
+fn designs() -> [NamedDesign; 2] {
+    [("kvs.rambda", kvs_design), ("txn.rambda_tx", txn_design)]
+}
+
+fn profiled(design: Design) -> RunReport {
+    let report = SimBuilder::new(design).config(&Testbed::default()).profile().run();
+    report.validate().expect("profiled report validates its event-core identities");
+    report
+}
+
 #[test]
 fn same_seed_profiles_are_byte_identical() {
-    for design in [kvs_design, txn_design] {
-        let (_, a, _) = profiled(design());
-        let (_, b, _) = profiled(design());
-        assert_eq!(a, b, "same-seed profile JSON must be byte-identical");
+    for (name, design) in designs() {
+        let a = profiled(design()).to_json_string();
+        let b = profiled(design()).to_json_string();
+        assert_eq!(a, b, "{name}: same-seed profiled reports must be byte-identical");
     }
 }
 
 #[test]
-fn headline_designs_show_exploitable_parallelism() {
-    for (name, design) in [("kvs.rambda", kvs_design()), ("txn.rambda_tx", txn_design())] {
-        let (report, json, ratio) = profiled(design);
-        assert!(
-            ratio > 1.0 && ratio.is_finite(),
-            "{name}: parallelism ratio {ratio} must be finite and > 1.0"
-        );
+fn profiled_reports_carry_the_event_core_section() {
+    for (name, design) in designs() {
+        let report = profiled(design());
         let ec = report.event_core.as_ref().expect("profiled report carries event-core telemetry");
         assert!(ec.dispatched > 0, "{name}: the scheduler dispatched work");
-        assert!(json.contains("\"event_core\""), "{name}: profile embeds the event-core section");
-        assert!(json.contains("\"critical_path\""), "{name}: profile embeds the critical path");
-        // Per-machine-pair lookahead bounds (the conservative parallel-DES
-        // synchronization horizon) are present and positive.
-        let lookahead: Vec<u64> = report
-            .resources
-            .counters()
-            .filter(|(n, _)| n.contains(".lookahead.") && n.ends_with(".min_ps"))
-            .map(|(_, v)| v)
-            .collect();
-        assert!(!lookahead.is_empty(), "{name}: lookahead bounds are published");
-        assert!(lookahead.iter().all(|&ps| ps > 0), "{name}: lookahead bounds are positive");
+        assert!(ec.enqueued >= ec.dispatched, "{name}: dispatch conservation");
+        assert_eq!(report.resources.counter("event_core.dispatched"), Some(ec.dispatched));
+        assert!(report.to_json_string().contains("\"event_core\""), "{name}: section is serialized");
     }
 }
 
 #[test]
 fn profiling_never_perturbs_the_run_it_observes() {
-    let tb = Testbed::default();
-    let plain = SimBuilder::new(kvs_design()).config(&tb).run();
-    let (profiled_report, _, _) = profiled(kvs_design());
-    assert_eq!(plain.completed, profiled_report.completed);
-    assert_eq!(plain.elapsed_ps, profiled_report.elapsed_ps);
-    assert_eq!(plain.latency.p99_ps, profiled_report.latency.p99_ps);
-    // The unprofiled report stays exactly as before the profiler existed:
-    // no event-core section, no lookahead counters — goldens are safe.
-    assert!(plain.event_core.is_none());
-    assert!(plain.resources.counters().all(|(n, _)| !n.contains(".lookahead.")));
-    assert!(plain.resources.counters().all(|(n, _)| !n.starts_with("event_core.")));
+    for (name, design) in designs() {
+        let plain = SimBuilder::new(design()).config(&Testbed::default()).run();
+        let profiled = profiled(design());
+        assert!(plain.event_core.is_none(), "{name}: only profiled runs carry the section");
+
+        // Every plain counter and gauge is present in the profiled report
+        // with the same value, and the profiled report adds nothing but the
+        // event-core mirror.
+        for (counter, value) in plain.resources.counters() {
+            assert_eq!(profiled.resources.counter(counter), Some(value), "{name}: counter {counter}");
+        }
+        for (gauge, value) in plain.resources.gauges() {
+            assert_eq!(
+                profiled.resources.gauge_value(gauge).map(f64::to_bits),
+                Some(value.to_bits()),
+                "{name}: gauge {gauge}"
+            );
+        }
+        for (counter, _) in profiled.resources.counters() {
+            assert!(
+                plain.resources.counter(counter).is_some() || counter.starts_with("event_core."),
+                "{name}: profiling published {counter}, which the plain run does not"
+            );
+        }
+        assert_eq!(profiled.resources.gauges().count(), plain.resources.gauges().count(), "{name}");
+
+        // Strip the section and its mirror: what is left renders exactly
+        // the plain report, field for field.
+        let mut stripped = profiled.clone();
+        stripped.event_core = None;
+        let mut resources = MetricSet::new();
+        for (counter, value) in profiled.resources.counters().filter(|(c, _)| !c.starts_with("event_core.")) {
+            resources.set(counter, value);
+        }
+        for (gauge, value) in profiled.resources.gauges() {
+            resources.gauge(gauge, value);
+        }
+        stripped.resources = resources;
+        assert_eq!(
+            stripped.to_json_string(),
+            plain.to_json_string(),
+            "{name}: profiling perturbed the report"
+        );
+    }
 }

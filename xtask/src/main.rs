@@ -3,7 +3,6 @@
 //! ```text
 //! cargo xtask analyze [--root PATH] [--verbose] [--json] [--github]
 //! cargo xtask bench [--quick] [--compare PATH] [...]
-//! cargo xtask profile [--dir DIR] [--runner NAME]
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = violations (or stale allowlist entries, or
@@ -60,14 +59,6 @@ Commands:
       bench/out) is gated against PATH/BENCH_PROFILE.json — every gating
       sweep must keep requests_per_sec above the committed floor minus 40%
       tolerance (DESIGN.md §12.3). Exit 1 on any throughput regression.
-
-  profile [--dir DIR] [--runner NAME]
-      Run the deterministic profiler (`report --profile`) and print the
-      parallel-DES readiness summary (DESIGN.md §14): per-design
-      parallelism ratio and minimum cross-machine lookahead from the
-      profile artifacts, plus the analyzer's R7 partition-safety status.
-      DIR is the artifact directory (default bench/out/profile); NAME is
-      a runner name or `all` (default all).
 ";
 
 fn main() -> ExitCode {
@@ -93,7 +84,6 @@ fn main() -> ExitCode {
             run_analyze(root, AnalyzeOutput { verbose, json, github })
         }
         Some("bench") => run_bench(args.collect()),
-        Some("profile") => run_profile(args.collect()),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -174,133 +164,6 @@ fn run_bench(forward: Vec<String>) -> ExitCode {
         Some(floor) => run_profile_gate(&root.join(out_dir), &root.join(floor)),
         None => ExitCode::SUCCESS,
     }
-}
-
-/// Runs the deterministic profiler and prints the parallel-DES readiness
-/// summary: per-design parallelism ratio and lookahead bound parsed back
-/// out of the profile artifacts, plus the analyzer's R7 partition-safety
-/// status (shared mutable state reachable from a simulated machine would
-/// make partitioned execution unsound regardless of the measured
-/// parallelism). Exit 2 on launch/IO errors, the profiler's own exit code
-/// when it fails, 0 otherwise — readiness is a measurement, not a gate.
-fn run_profile(forward: Vec<String>) -> ExitCode {
-    let mut dir = PathBuf::from("bench/out/profile");
-    let mut runner = String::from("all");
-    let mut it = forward.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--dir" => match it.next() {
-                Some(p) => dir = PathBuf::from(p),
-                None => return usage_error("--dir requires a path"),
-            },
-            "--runner" => match it.next() {
-                Some(r) => runner = r,
-                None => return usage_error("--runner requires a name"),
-            },
-            other => return usage_error(&format!("unknown flag `{other}`")),
-        }
-    }
-
-    let root = workspace_root(None);
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let status = std::process::Command::new(cargo)
-        .current_dir(&root)
-        .args(["run", "--release", "-q", "-p", "rambda-bench", "--bin", "report", "--", "--profile"])
-        .arg(&dir)
-        .args(["--profile-runner", &runner])
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => return ExitCode::from(s.code().unwrap_or(2).clamp(0, 255) as u8),
-        Err(e) => {
-            eprintln!("error: failed to launch the profiler: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    let analysis = match analyze(&Config::rambda(root.clone())) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: analysis failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let r7: Vec<_> = analysis.violations.iter().filter(|v| v.rule == "R7").collect();
-
-    let art_dir = root.join(&dir);
-    let mut files: Vec<PathBuf> = match std::fs::read_dir(&art_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(".profile.json")))
-            .collect(),
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", art_dir.display());
-            return ExitCode::from(2);
-        }
-    };
-    files.sort();
-
-    println!("\n=== parallel-DES readiness ===");
-    let mut parallel = 0usize;
-    for file in &files {
-        let name = file.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-        let name = name.trim_end_matches(".profile.json");
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
-        let ratio = scan_number(&text, "parallelism_ratio");
-        if ratio.is_some_and(|r| r > 1.0) {
-            parallel += 1;
-        }
-        let ratio = ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.2}x"));
-        let lookahead = min_lookahead_ps(&text)
-            .map_or_else(|| "-".to_string(), |ps| format!("{:.2} us", ps as f64 / 1.0e6));
-        println!("{name}: parallelism {ratio}, cross-machine lookahead >= {lookahead}");
-    }
-    for v in &r7 {
-        println!("{v}");
-    }
-    println!(
-        "{}/{} designs show exploitable parallelism; R7 partition safety: {}",
-        parallel,
-        files.len(),
-        if r7.is_empty() { "clean".to_string() } else { format!("{} violation(s)", r7.len()) }
-    );
-    ExitCode::SUCCESS
-}
-
-/// Extracts the first `"key": <number>` value from a pretty-printed
-/// profile JSON by string scan (xtask takes no dependencies).
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = text.find(&pat)? + pat.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The minimum `"<from>-><to>": <ps>` entry of the profile's `lookahead`
-/// section, or `None` when the section is absent or empty.
-fn min_lookahead_ps(text: &str) -> Option<u64> {
-    let at = text.find("\"lookahead\": {")?;
-    let mut min: Option<u64> = None;
-    for line in text[at..].lines().skip(1) {
-        let line = line.trim();
-        if line.starts_with('}') {
-            break;
-        }
-        let (key, value) = line.split_once(": ")?;
-        if !key.contains("->") {
-            break;
-        }
-        let value: u64 = value.trim_end_matches(',').parse().ok()?;
-        min = Some(min.map_or(value, |m| m.min(value)));
-    }
-    min
 }
 
 /// Gates the fresh profile in `out_dir` against the committed floor in
