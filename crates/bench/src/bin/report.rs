@@ -11,10 +11,11 @@
 //! slowest requests, default 10).
 //!
 //! With `--profile <dir>` it runs one quick-mode runner (`--profile-runner
-//! <name|all>`, default `kvs.rambda`) in profile mode and writes
-//! `<name>.profile.json` (the profiled run report, event-core section
-//! included; deterministic) plus a shared `host.folded` (wall-clock
-//! flamegraph input, non-deterministic).
+//! <name|all>`, default `kvs.rambda`) in profile mode, with the flight
+//! recorder attached to cross-validate the run against its report, and
+//! writes `<name>.profile.json` (the profiled run report, event-core
+//! section included; deterministic) plus a shared `host.folded`
+//! (wall-clock flamegraph input, non-deterministic).
 //!
 //! With `--scopes <name|all>` it runs the selected quick-mode runner(s)
 //! under the scoped-metrics registry (DESIGN.md §15) and prints each
@@ -392,8 +393,9 @@ fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &F
     }
 }
 
-/// Runs the selected runner(s) in profile mode and writes two artifacts per
-/// runner plus one per invocation:
+/// Runs the selected runner(s) in profile mode under the flight recorder,
+/// exits 1 if a trace disagrees with its run report, and writes one artifact
+/// per runner plus one per invocation:
 ///
 /// * `<name>.profile.json` — the profiled run report (its `event_core`
 ///   section carries the scheduler telemetry); byte-identical across
@@ -409,9 +411,17 @@ fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     let mut prof = HostProf::new(move || t0.elapsed().as_nanos() as u64);
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
-        let report = prof
-            .time(&format!("{name};run"), || SimBuilder::new(design_for(name)).config(tb).profile().run());
-        prof.time(&format!("{name};validate"), || report.validate().expect("inconsistent run report"));
+        let mut tracer = Tracer::flight_recorder();
+        let report = prof.time(&format!("{name};run"), || {
+            SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run()
+        });
+        prof.time(&format!("{name};validate"), || {
+            report.validate().expect("inconsistent run report");
+            if let Err(e) = tracer.cross_validate(&report) {
+                eprintln!("{name}: trace/report cross-validation failed: {e}");
+                exit(1);
+            }
+        });
         let doc = prof.time(&format!("{name};render"), || report.to_json_string());
         fs::write(format!("{dir}/{name}.profile.json"), &doc).expect("write profile json");
         let dispatched = report.event_core.as_ref().map_or(0, |ec| ec.dispatched);

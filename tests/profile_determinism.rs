@@ -1,12 +1,14 @@
 //! Profile mode is passive and deterministic: a profiled run renders the
 //! same report as the plain run plus its `event_core` section (and that
 //! section's `event_core.*` counter mirror), same-seed profiled reports are
-//! byte-identical, and the event-core section validates.
+//! byte-identical, the event-core section validates, and the flight
+//! recorder's trace of a profiled run agrees with its report.
 
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{MetricSet, RunReport};
+use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
@@ -26,9 +28,12 @@ fn designs() -> [NamedDesign; 2] {
     [("kvs.rambda", kvs_design), ("txn.rambda_tx", txn_design)]
 }
 
+/// Runs `design` once in profile mode under the flight recorder.
 fn profiled(design: Design) -> RunReport {
-    let report = SimBuilder::new(design).config(&Testbed::default()).profile().run();
+    let mut tracer = Tracer::flight_recorder();
+    let report = SimBuilder::new(design).config(&Testbed::default()).tracer(&mut tracer).profile().run();
     report.validate().expect("profiled report validates its event-core identities");
+    tracer.cross_validate(&report).expect("trace agrees with the report");
     report
 }
 
@@ -60,29 +65,9 @@ fn profiling_never_perturbs_the_run_it_observes() {
         let profiled = profiled(design());
         assert!(plain.event_core.is_none(), "{name}: only profiled runs carry the section");
 
-        // Every plain counter and gauge is present in the profiled report
-        // with the same value, and the profiled report adds nothing but the
-        // event-core mirror.
-        for (counter, value) in plain.resources.counters() {
-            assert_eq!(profiled.resources.counter(counter), Some(value), "{name}: counter {counter}");
-        }
-        for (gauge, value) in plain.resources.gauges() {
-            assert_eq!(
-                profiled.resources.gauge_value(gauge).map(f64::to_bits),
-                Some(value.to_bits()),
-                "{name}: gauge {gauge}"
-            );
-        }
-        for (counter, _) in profiled.resources.counters() {
-            assert!(
-                plain.resources.counter(counter).is_some() || counter.starts_with("event_core."),
-                "{name}: profiling published {counter}, which the plain run does not"
-            );
-        }
-        assert_eq!(profiled.resources.gauges().count(), plain.resources.gauges().count(), "{name}");
-
         // Strip the section and its mirror: what is left renders exactly
-        // the plain report, field for field.
+        // the plain report, field for field, every counter and gauge
+        // included.
         let mut stripped = profiled.clone();
         stripped.event_core = None;
         let mut resources = MetricSet::new();

@@ -57,7 +57,7 @@ fn floor_accepts_itself() {
     assert!(compare(&floor, &floor).is_empty());
 }
 
-/// The committed floor the CI perf-gate job actually uses must parse and
+/// The committed floor the CI bench-gate job actually uses must parse and
 /// carry the gated metric for every gating sweep.
 #[test]
 fn committed_floor_is_well_formed() {
