@@ -383,8 +383,9 @@ pub fn sweep_names() -> &'static [&'static str] {
 /// Whether a sweep participates in the baseline comparison gate.
 ///
 /// `faults_sweep` characterizes degraded-mode behaviour (its whole point is
-/// a worse tail under injected loss), so it ships no committed baseline and
-/// never gates — the `bench` binary skips its comparison.
+/// a worse tail under injected loss), so it never gates — the `bench`
+/// binary skips its comparison. Its committed baseline is still pinned byte
+/// for byte by the integration tests, like every other sweep's.
 pub fn is_gating(name: &str) -> bool {
     name != "faults_sweep"
 }

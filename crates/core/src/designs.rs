@@ -87,6 +87,21 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Machines, Req};
+    use crate::DriverConfig;
+
+    struct Idle;
+
+    impl Machines for Idle {
+        fn publish(&self, _: &mut rambda_metrics::MetricSet) {}
+    }
+
+    /// A design named `name` that serves each request instantly.
+    fn stub(name: &'static str) -> Design {
+        Design::new(name, 1, DriverConfig::new(1, 1), ("conn", 1), |_| {
+            (Idle, |_: &mut Idle, _, at, _: &mut Req<'_>| Ok(at))
+        })
+    }
 
     #[test]
     fn check_runner_accepts_known_names_and_the_wildcard() {
@@ -101,8 +116,8 @@ mod tests {
     #[test]
     fn registry_installs_and_builds_in_canonical_order() {
         let mut reg = Registry::new();
-        reg.install("kvs.rambda", || Design::from_runner("kvs.rambda", 1, |_tb, _ctx| panic!()));
-        reg.install("micro.cpu", || Design::from_runner("micro.cpu", 1, |_tb, _ctx| panic!()));
+        reg.install("kvs.rambda", || stub("kvs.rambda"));
+        reg.install("micro.cpu", || stub("micro.cpu"));
         // names() follows RUNNER_NAMES order, not installation order.
         assert_eq!(reg.names(), vec!["micro.cpu", "kvs.rambda"]);
         assert!(!reg.is_complete());
@@ -114,7 +129,7 @@ mod tests {
     #[should_panic(expected = "installed twice")]
     fn duplicate_install_panics() {
         let mut reg = Registry::new();
-        reg.install("kvs.cpu", || Design::from_runner("kvs.cpu", 1, |_tb, _ctx| panic!()));
-        reg.install("kvs.cpu", || Design::from_runner("kvs.cpu", 1, |_tb, _ctx| panic!()));
+        reg.install("kvs.cpu", || stub("kvs.cpu"));
+        reg.install("kvs.cpu", || stub("kvs.cpu"));
     }
 }

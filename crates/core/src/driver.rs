@@ -38,7 +38,7 @@ impl DriverConfig {
 
 /// Results of a closed-loop run.
 #[derive(Debug, Clone)]
-pub struct RunStats {
+pub(crate) struct RunStats {
     /// Requests measured (post-warm-up).
     pub completed: u64,
     /// Steady-state throughput in operations per second.
@@ -61,7 +61,7 @@ pub struct RunStats {
 /// # Panics
 ///
 /// Panics if the configuration has zero clients, window, or requests.
-pub fn run_closed_loop<F>(cfg: &DriverConfig, mut serve: F) -> RunStats
+pub(crate) fn run_closed_loop<F>(cfg: &DriverConfig, mut serve: F) -> RunStats
 where
     F: FnMut(usize, SimTime) -> SimTime,
 {

@@ -41,12 +41,11 @@ pub mod cpu;
 pub mod designs;
 pub mod framework;
 pub mod micro;
-pub mod report;
+mod report;
 pub mod sim;
 
 pub use config::{CpuConfig, Testbed};
-pub use driver::{run_closed_loop, DriverConfig, RunStats};
+pub use driver::DriverConfig;
 pub use framework::{AppRegistration, Connection, CpollLayout, Framework, RegisterError, RegisteredApp};
 pub use machine::Machine;
-pub use report::build_report;
-pub use sim::{Design, SimBuilder, SimCtx};
+pub use sim::{Design, Machines, Req, SimBuilder};

@@ -9,13 +9,14 @@
 
 use rambda_accel::{AccelConfig, AccelEngine, DataLocation};
 use rambda_coherence::Notifier;
-use rambda_des::{SimRng, SimTime, Span};
+use rambda_des::{SimRng, Span};
 use rambda_mem::{MemKind, MemorySystem};
+use rambda_metrics::MetricSet;
 
 use crate::config::Testbed;
 use crate::cpu::CpuServer;
-use crate::driver::{run_closed_loop, DriverConfig, RunStats};
-use crate::sim::{Design, SimCtx};
+use crate::driver::DriverConfig;
+use crate::sim::{Design, Machines, Req};
 
 /// Spin-polling throughput tax relative to cpoll, applied to both the
 /// controller issue rate and the interconnect bandwidth. Calibrated to the
@@ -94,16 +95,18 @@ impl MicroParams {
         }
     }
 
-    /// Scope names for the connection groups a scoped run attributes
-    /// requests to: connections bucket into at most [`MICRO_SCOPE_GROUPS`]
-    /// groups (`conn/0` .. `conn/3` at the paper's 16 connections).
-    fn scope_names(&self) -> Vec<String> {
-        (0..self.connections.min(MICRO_SCOPE_GROUPS)).map(|g| format!("conn/{g}")).collect()
+    /// The connection groups a scoped run attributes requests to:
+    /// connections bucket into at most [`MICRO_SCOPE_GROUPS`] groups
+    /// (`conn/0` .. `conn/3` at the paper's 16 connections).
+    fn scopes(&self) -> (&'static str, usize) {
+        ("conn", self.connections.min(MICRO_SCOPE_GROUPS))
     }
 
-    /// Scope group of connection `c`.
-    fn scope_of(&self, c: usize) -> usize {
-        c * self.connections.min(MICRO_SCOPE_GROUPS) / self.connections.max(1)
+    /// Attributes the request from connection `c` to its connection group
+    /// and feeds the connection into the hot-key sketch.
+    fn tag(&self, c: usize, req: &mut Req<'_>) {
+        req.scope(c * self.connections.min(MICRO_SCOPE_GROUPS) / self.connections.max(1));
+        req.key(c as u64);
     }
 
     /// Bytes persisted per request (NVM variant only).
@@ -121,7 +124,19 @@ impl Design {
     /// `batch`. Single-machine (shared-memory rings, no network), so the
     /// builder's fault plan does not apply.
     pub fn micro_cpu(params: MicroParams, cores: usize, batch: usize) -> Design {
-        Design::from_runner("micro.cpu", 0, move |tb, ctx| run_cpu(tb, params, cores, batch, ctx))
+        Design::new("micro.cpu", 0, params.driver(), params.scopes(), move |tb| {
+            let machines = MicroCpu {
+                cpu: CpuServer::new(tb.cpu.clone(), cores, batch),
+                mem: MemorySystem::new(tb.mem.clone(), true),
+            };
+            let (kind, record) = (params.kind(), params.record_bytes());
+            (machines, move |m: &mut MicroCpu, c, at, req: &mut Req<'_>| {
+                params.tag(c, req);
+                let done = m.cpu.serve_request(at, params.chase, record, kind, &mut m.mem);
+                req.leg("cpu_serve", done);
+                Ok(done)
+            })
+        })
     }
 
     /// The Sec. VI-A Rambda microbenchmark (prototype or LD/LH via
@@ -129,9 +144,7 @@ impl Design {
     /// adaptive scheme disables global DDIO (Fig. 6 guideline 1).
     /// Single-machine, so the builder's fault plan does not apply.
     pub fn micro_rambda(params: MicroParams, location: DataLocation, cpoll: bool, seed: u64) -> Design {
-        Design::from_runner("micro.rambda", seed, move |tb, ctx| {
-            run_rambda(tb, params, location, cpoll, true, seed, ctx)
-        })
+        rambda(params, location, cpoll, true, seed)
     }
 
     /// The "Rambda-DDIO" ablation of the NVM microbenchmark: global DDIO
@@ -144,124 +157,106 @@ impl Design {
     /// NVM variant.
     pub fn micro_rambda_always_ddio(params: MicroParams, cpoll: bool, seed: u64) -> Design {
         assert!(params.nvm, "the DDIO ablation only applies to the NVM variant");
-        Design::from_runner("micro.rambda", seed, move |tb, ctx| {
-            run_rambda(tb, params, DataLocation::HostNvm, cpoll, false, seed, ctx)
-        })
+        rambda(params, DataLocation::HostNvm, cpoll, false, seed)
     }
 }
 
-/// Runs the CPU baseline on `cores` cores with request batches of `batch`.
-fn run_cpu(testbed: &Testbed, params: MicroParams, cores: usize, batch: usize, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
-    let mut mem = MemorySystem::new(testbed.mem.clone(), true);
-    let mut cpu = CpuServer::new(testbed.cpu.clone(), cores, batch);
-    let kind = params.kind();
-    let record = params.record_bytes();
-    let scope_names = params.scope_names();
-    let stats = run_closed_loop(&params.driver(), |c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let done = cpu.serve_request(at, params.chase, record, kind, &mut mem);
-        tr.leg("cpu_serve", done);
-        tr.finish(done);
-        scopes.record(&scope_names[params.scope_of(c)], at, done);
-        scopes.observe_key(c as u64);
-        tracer.sample_with(rec, at, |s| {
-            cpu.publish_metrics(s, "cpu");
-            mem.publish_metrics(s, "mem");
-        });
-        done
-    });
-    cpu.publish_metrics(resources, "cpu");
-    mem.publish_metrics(resources, "mem");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
+/// The CPU baseline's machine: the serving cores and their memory.
+struct MicroCpu {
+    cpu: CpuServer,
+    mem: MemorySystem,
 }
 
-/// Runs a Rambda variant: prototype (`HostDram`/`HostNvm` per
-/// `params.nvm`) or the envisioned local-memory accelerators
-/// (`LocalDdr`/`LocalHbm`). `cpoll == false` selects the spin-polling
-/// ablation, `adaptive_ddio == false` the always-DDIO ablation.
-fn run_rambda(
-    testbed: &Testbed,
+impl Machines for MicroCpu {
+    fn publish(&self, s: &mut MetricSet) {
+        self.cpu.publish_metrics(s, "cpu");
+        self.mem.publish_metrics(s, "mem");
+    }
+}
+
+/// The Rambda designs' machine: the accelerator and the memory it serves.
+struct MicroRambda {
+    engine: AccelEngine,
+    mem: MemorySystem,
+}
+
+impl Machines for MicroRambda {
+    fn publish(&self, s: &mut MetricSet) {
+        self.engine.publish_metrics(s, "accel");
+        self.mem.publish_metrics(s, "mem");
+    }
+}
+
+/// A Rambda variant: prototype (`HostDram`/`HostNvm` per `params.nvm`) or
+/// the envisioned local-memory accelerators (`LocalDdr`/`LocalHbm`).
+/// `cpoll == false` selects the spin-polling ablation, `adaptive_ddio ==
+/// false` the always-DDIO ablation.
+fn rambda(
     params: MicroParams,
     location: DataLocation,
     cpoll: bool,
     adaptive_ddio: bool,
     seed: u64,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
+) -> Design {
     let location = match (params.nvm, location) {
         (true, DataLocation::HostDram) => DataLocation::HostNvm,
         (_, l) => l,
     };
-    let mut engine = AccelEngine::new(testbed.accel_config(location, cpoll));
-    let mut mem = MemorySystem::new(testbed.mem.clone(), !adaptive_ddio);
-    let mut rng = SimRng::seed(seed);
-    let connections = params.connections;
-    let record = params.record_bytes();
-    let scope_names = params.scope_names();
-
-    let stats = run_closed_loop(&params.driver(), |c, at| {
-        let mut trace = tracer.observe(rec, at);
-        // Request written into the ring at `at`; discovery via cpoll (or the
-        // slower spin-poll cycle).
-        let mut t = engine.discover(at, connections, &mut rng);
-        if !cpoll {
-            t += SPIN_POLL_DELAY;
-        }
-        trace.leg("coherence", t);
-        let start = engine.claim_slot(t);
-        trace.leg("dispatch", start);
-        let mut now = start;
-        // Fetch the request entry. In the local-memory emulation requests
-        // are generated within the FPGA (Sec. V), so only host-resident
-        // variants fetch across the interconnect.
-        if location.is_host() {
-            now = engine.ring_read(now, 64, &mut mem);
-            trace.leg("ring_read", now);
-        }
-        // Walk the list: three dependent reads.
-        now = engine.read_chain(now, params.chase, 64, &mut mem);
-        trace.leg("mem_chase", now);
-        now = engine.compute(now, 1);
-        trace.leg("apu_compute", now);
-        // Emit the response / persist the record.
-        now = match (params.nvm, adaptive_ddio) {
-            (true, true) => engine.mem_access(now, record, true, &mut mem),
-            (true, false) => {
-                // DDIO on: the record lands in the LLC first, then must be
-                // flushed to the persistence domain with amplification.
-                let in_llc = engine.ring_write(now, record, &mut mem);
-                mem.flush_llc_to_nvm(in_llc, record)
-            }
-            (false, _) => {
-                if location.is_host() {
-                    engine.ring_write(now, record, &mut mem)
-                } else {
-                    now // response consumed on-FPGA in the emulation
-                }
-            }
+    Design::new("micro.rambda", seed, params.driver(), params.scopes(), move |tb| {
+        let machines = MicroRambda {
+            engine: AccelEngine::new(tb.accel_config(location, cpoll)),
+            mem: MemorySystem::new(tb.mem.clone(), !adaptive_ddio),
         };
-        if params.nvm {
-            trace.leg("nvm_persist", now);
-        } else {
-            trace.leg("response_write", now);
-        }
-        engine.release_slot(t, now);
-        trace.finish(now);
-        scopes.record(&scope_names[params.scope_of(c)], at, now);
-        scopes.observe_key(c as u64);
-        tracer.sample_with(rec, at, |s| {
-            engine.publish_metrics(s, "accel");
-            mem.publish_metrics(s, "mem");
-        });
-        now
-    });
-    engine.publish_metrics(resources, "accel");
-    mem.publish_metrics(resources, "mem");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
+        let mut rng = SimRng::seed(seed);
+        let record = params.record_bytes();
+        (machines, move |m: &mut MicroRambda, c, at, req: &mut Req<'_>| {
+            params.tag(c, req);
+            let MicroRambda { engine, mem } = m;
+            // Request written into the ring at `at`; discovery via cpoll (or
+            // the slower spin-poll cycle).
+            let mut t = engine.discover(at, params.connections, &mut rng);
+            if !cpoll {
+                t += SPIN_POLL_DELAY;
+            }
+            req.leg("coherence", t);
+            let start = engine.claim_slot(t);
+            req.leg("dispatch", start);
+            let mut now = start;
+            // Fetch the request entry. In the local-memory emulation requests
+            // are generated within the FPGA (Sec. V), so only host-resident
+            // variants fetch across the interconnect.
+            if location.is_host() {
+                now = engine.ring_read(now, 64, mem);
+                req.leg("ring_read", now);
+            }
+            // Walk the list: three dependent reads.
+            now = engine.read_chain(now, params.chase, 64, mem);
+            req.leg("mem_chase", now);
+            now = engine.compute(now, 1);
+            req.leg("apu_compute", now);
+            // Emit the response / persist the record.
+            now = match (params.nvm, adaptive_ddio) {
+                (true, true) => engine.mem_access(now, record, true, mem),
+                (true, false) => {
+                    // DDIO on: the record lands in the LLC first, then must
+                    // be flushed to the persistence domain with
+                    // amplification.
+                    let in_llc = engine.ring_write(now, record, mem);
+                    mem.flush_llc_to_nvm(in_llc, record)
+                }
+                (false, _) => {
+                    if location.is_host() {
+                        engine.ring_write(now, record, mem)
+                    } else {
+                        now // response consumed on-FPGA in the emulation
+                    }
+                }
+            };
+            req.leg(if params.nvm { "nvm_persist" } else { "response_write" }, now);
+            engine.release_slot(t, now);
+            Ok(now)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::driver::RunStats;
 /// makespan and the final resource counters, closing the busy-time
 /// identity exactly), and `resources` carries whatever the runner's
 /// components published.
-pub fn build_report(
+pub(crate) fn build_report(
     name: &str,
     seed: u64,
     stats: &RunStats,

@@ -8,14 +8,13 @@
 //! (with MERCI memoization) and the lightweight FC layers, and responds
 //! through the RNIC.
 
-use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, Design, DriverConfig, Machine, Machines, Req};
 use rambda_accel::{AccelEngine, DataLocation};
-use rambda_des::Link;
-use rambda_des::{Server, SimRng, SimTime, Span};
+use rambda_des::{Link, Server, SimRng, Span};
 use rambda_fabric::{Network, NodeId};
-use rambda_mem::{AccessKind, MemKind, MemReq, MemorySystem};
-use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, RdmaError, WriteOpts};
-use rambda_trace::{ReqObs, Tracer};
+use rambda_mem::MemKind;
+use rambda_metrics::MetricSet;
+use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, WriteOpts};
 use rambda_workloads::{DlrmProfile, Zipf};
 
 use crate::merci::{sample_correlated_query, MemoTable, ReductionPlan};
@@ -119,31 +118,29 @@ impl DlrmParams {
     /// Scoped runs attribute each query to the embedding-table partition
     /// (`table/{t}`) holding its first looked-up row: the functional rows
     /// split into [`SCOPE_TABLES`] equal ranges.
-    fn scope_names(&self) -> Vec<String> {
-        (0..SCOPE_TABLES).map(|t| format!("table/{t}")).collect()
+    fn scopes(&self) -> (&'static str, usize) {
+        ("table", SCOPE_TABLES as usize)
     }
 
-    fn scope_of(&self, plan: &ReductionPlan) -> usize {
+    /// Attributes a query to its table partition and feeds every row the
+    /// reduction plan touches into the hot-key sketch (memoized pairs count
+    /// as their even row).
+    fn tag(&self, plan: &ReductionPlan, req: &mut Req<'_>) {
+        for &p in &plan.memo_pairs {
+            req.key(2 * p as u64);
+        }
+        for &r in &plan.singles {
+            req.key(r as u64);
+        }
         let row =
             plan.singles.first().copied().unwrap_or_else(|| plan.memo_pairs.first().map_or(0, |p| p * 2));
         let t = row as u64 * SCOPE_TABLES as u64 / self.functional_rows.max(1) as u64;
-        t.min(SCOPE_TABLES as u64 - 1) as usize
+        req.scope(t.min(SCOPE_TABLES as u64 - 1) as usize);
     }
 }
 
 /// Embedding-table partitions a scoped run attributes queries to.
 const SCOPE_TABLES: u32 = 4;
-
-/// Feeds every row the reduction plan touches into the hot-key sketch
-/// (memoized pairs count as their even row).
-fn observe_plan(scopes: &mut rambda_metrics::ScopedMetrics, plan: &ReductionPlan) {
-    for &p in &plan.memo_pairs {
-        scopes.observe_key(2 * p as u64);
-    }
-    for &r in &plan.singles {
-        scopes.observe_key(r as u64);
-    }
-}
 
 /// Shared functional state for one run.
 struct DlrmWorld {
@@ -192,24 +189,6 @@ impl DlrmWorld {
     }
 }
 
-/// Degraded-mode completion: the RDMA layer exhausted its retransmission
-/// budget, so the design sheds the query — the client observes a timeout
-/// at the error-completion time — instead of asserting.
-fn shed(mut tr: ReqObs<'_>, err: &RdmaError) -> SimTime {
-    let at = err.at();
-    tr.leg("shed", at);
-    tr.finish(at);
-    at
-}
-
-/// Forwards the run's injected-fault log from the network to the flight
-/// recorder as instants on the fabric track.
-fn drain_faults(net: &mut Network, tracer: &mut Tracer) {
-    for ev in net.drain_fault_events() {
-        tracer.fault(ev.kind.name(), ev.at, ev.from.0, ev.to.0);
-    }
-}
-
 /// [`Design`] constructors for the DLRM serving experiments, so
 /// [`SimBuilder`](rambda::SimBuilder) can run them.
 pub trait DlrmDesigns {
@@ -219,237 +198,201 @@ pub trait DlrmDesigns {
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design;
 }
 
+/// The CPU baseline's machines: the server's core pool and the
+/// socket-level random-gather roofline all its cores share.
+struct DlrmCpu {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    cores: Server,
+    gather: Link,
+}
+
+impl Machines for DlrmCpu {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        s.observe_server("cores", &self.cores);
+        s.observe_link("gather", &self.gather);
+        self.net.publish_metrics(s, "net");
+    }
+
+    fn network(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+/// Rambda-DLRM's machines: the accelerator, its serial APU dispatcher, and
+/// the host cores that pre-process requests for it.
+struct DlrmRambda {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    engine: AccelEngine,
+    preprocess: CpuServer,
+    dispatch: Server,
+}
+
+impl Machines for DlrmRambda {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.engine.publish_metrics(s, "accel");
+        self.preprocess.publish_metrics(s, "preprocess");
+        s.observe_server("apu_dispatch", &self.dispatch);
+        self.net.publish_metrics(s, "net");
+    }
+
+    fn network(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
 impl DlrmDesigns for Design {
+    /// The CPU-only MERCI baseline on `cores` cores.
     fn dlrm_cpu(params: DlrmParams, cores: usize) -> Design {
-        Design::from_runner("dlrm.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, cores, ctx))
+        Design::new("dlrm.cpu", params.seed, params.driver(), params.scopes(), move |tb| {
+            let mut m = DlrmCpu {
+                net: Network::new(tb.net.clone()),
+                client: Machine::new(CLIENT, tb, true),
+                server: Machine::new(SERVER, tb, true),
+                cores: Server::new(cores),
+                gather: Link::new(params.costs.socket_gather_bw, Span::ZERO),
+            };
+            let mut world = DlrmWorld::new(&params);
+            let rq_mr = m.server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let client_mr = m.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
+            let row = params.row_bytes();
+            (m, move |m: &mut DlrmCpu, _, at, req: &mut Req<'_>| {
+                let (plan, wire, _score) = world.next_query(&params);
+                params.tag(&plan, req);
+                let DlrmCpu { net, client, server, cores, gather } = m;
+                let costs = &params.costs;
+                let delivered = two_sided_send(
+                    at,
+                    &mut client.rnic,
+                    &mut server.rnic,
+                    net,
+                    &mut server.mem,
+                    rq_mr,
+                    wire,
+                    opts,
+                )?;
+                req.leg("fabric_request", delivered);
+                let bytes = plan.lookups() as u64 * row;
+                let hold = costs.preprocess
+                    + costs.mlp_cpu
+                    + Span::from_secs_f64(bytes as f64 / costs.core_gather_bw);
+                let start = cores.acquire(delivered, hold);
+                req.leg("core_queue", start);
+                // Socket roofline: the gather bytes queue on the shared link.
+                let roofline_done = gather.transfer(start, bytes).depart;
+                let done = (start + hold).max(roofline_done);
+                req.leg("gather_compute", done);
+                let fin = two_sided_send(
+                    done,
+                    &mut server.rnic,
+                    &mut client.rnic,
+                    net,
+                    &mut client.mem,
+                    client_mr,
+                    16,
+                    opts,
+                )?;
+                req.leg("fabric_response", fin);
+                Ok(fin)
+            })
+        })
     }
 
+    /// Rambda-DLRM: accelerator-terminated RPC, CPU pre-processing
+    /// hand-off, APU embedding reduction + FC. `location` selects prototype
+    /// (HostDram) or the local-memory variants.
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design {
-        Design::from_runner("dlrm.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
+        Design::new("dlrm.rambda", params.seed, params.driver(), params.scopes(), move |tb| {
+            let mut m = DlrmRambda {
+                net: Network::new(tb.net.clone()),
+                client: Machine::new(CLIENT, tb, false),
+                server: Machine::new(SERVER, tb, false),
+                engine: AccelEngine::new(tb.accel_config(location, true)),
+                preprocess: CpuServer::new(tb.cpu.clone(), params.costs.preprocess_cores, 16),
+                dispatch: Server::new(1),
+            };
+            let mut world = DlrmWorld::new(&params);
+            let ring_mr = m.server.rnic.register_region(MrInfo::adaptive(location.mem_kind()));
+            let client_mr = m.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let req_opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
+            let resp_opts = WriteOpts { post: PostPath::AccelMmio, ..req_opts };
+            let row = params.row_bytes();
+            let local_row = (row as f64 * params.costs.local_gather_overhead) as u64;
+            (m, move |m: &mut DlrmRambda, _, at, req: &mut Req<'_>| {
+                let (plan, wire, _score) = world.next_query(&params);
+                params.tag(&plan, req);
+                let DlrmRambda { net, client, server, engine, preprocess, dispatch } = m;
+                let costs = &params.costs;
+                // Request into the accelerator's ring.
+                let out = rdma_write(
+                    at,
+                    &mut client.rnic,
+                    &mut server.rnic,
+                    net,
+                    &mut server.mem,
+                    &mut client.mem,
+                    ring_mr,
+                    wire,
+                    req_opts,
+                )?;
+                req.leg("fabric_request", out.delivered_at);
+                let discovered = engine.discover(out.delivered_at, params.clients, &mut world.rng);
+                req.leg("coherence", discovered);
+                let start = engine.claim_slot(discovered);
+                req.leg("dispatch", start);
+                // Hand the raw request to a host core for pre-processing
+                // through the intra-machine ring, and get the model-ready
+                // input back.
+                let sent = engine.ring_write(start, wire, &mut server.mem);
+                req.leg("ring_write", sent);
+                let preprocessed = preprocess.occupy(sent, costs.preprocess);
+                req.leg("cpu_preprocess", preprocessed);
+                let input_back = engine.ring_read(preprocessed, wire, &mut server.mem);
+                req.leg("ring_read", input_back);
+                // Scheduler/(de)serializer occupancy (serial per query).
+                let disp = dispatch.acquire(input_back, costs.apu_dispatch) + costs.apu_dispatch;
+                req.leg("apu_dispatch", disp);
+                // The embedding reduction: 64 outstanding gathers per query
+                // (Sec. IV-C), bandwidth-bound on the chosen memory.
+                let row_bytes = if location.is_host() { row } else { local_row };
+                let gathered = engine.gather(disp, plan.lookups(), row_bytes, &mut server.mem);
+                req.leg("gather", gathered);
+                // FC layers on the APU, then respond through the RNIC.
+                let fc_done = gathered + costs.mlp_apu;
+                req.leg("apu_compute", fc_done);
+                let wqe = engine.sq_write_wqe(fc_done);
+                req.leg("doorbell", wqe);
+                engine.release_slot(discovered, wqe);
+                let resp = rdma_write(
+                    wqe,
+                    &mut server.rnic,
+                    &mut client.rnic,
+                    net,
+                    &mut client.mem,
+                    &mut server.mem,
+                    client_mr,
+                    16,
+                    resp_opts,
+                )?;
+                req.leg("fabric_response", resp.delivered_at);
+                Ok(resp.delivered_at)
+            })
+        })
     }
-}
-
-/// The CPU-only MERCI baseline on `cores` cores.
-fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
-    let mut world = DlrmWorld::new(params);
-    let mut core_pool = Server::new(cores);
-    // The socket-level random-gather roofline (shared by all cores).
-    let mut gather = Link::new(params.costs.socket_gather_bw, Span::ZERO);
-    let rq_mr = server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
-    let row = params.row_bytes();
-    let costs = params.costs.clone();
-    let scope_names = params.scope_names();
-
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let (plan, wire, _score) = world.next_query(params);
-        observe_plan(scopes, &plan);
-        let table = params.scope_of(&plan);
-        let fin = 'query: {
-            let delivered = match two_sided_send(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                rq_mr,
-                wire,
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_request", delivered);
-            let bytes = plan.lookups() as u64 * row;
-            let hold =
-                costs.preprocess + costs.mlp_cpu + Span::from_secs_f64(bytes as f64 / costs.core_gather_bw);
-            let start = core_pool.acquire(delivered, hold);
-            tr.leg("core_queue", start);
-            // Socket roofline: the gather bytes queue on the shared link.
-            let roofline_done = gather.transfer(start, bytes).depart;
-            let done = (start + hold).max(roofline_done);
-            tr.leg("gather_compute", done);
-            let fin = match two_sided_send(
-                done,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                client_mr,
-                16,
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_response", fin);
-            tr.finish(fin);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                s.observe_server("cores", &core_pool);
-                s.observe_link("gather", &gather);
-                net.publish_metrics(s, "net");
-            });
-            fin
-        };
-        // Scope attribution covers shed queries too: every traced query
-        // lands in exactly one embedding-table partition.
-        scopes.record(&scope_names[table], at, fin);
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    client.publish_metrics(resources, "client");
-    server.publish_metrics(resources, "server");
-    resources.observe_server("cores", &core_pool);
-    resources.observe_link("gather", &gather);
-    net.publish_metrics(resources, "net");
-    net.publish_scoped(scopes, "net");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
-}
-
-/// Rambda-DLRM: accelerator-terminated RPC, CPU pre-processing hand-off,
-/// APU embedding reduction + FC. `location` selects prototype (HostDram) or
-/// the local-memory variants.
-fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, false);
-    let mut server = rambda::Machine::new(SERVER, testbed, false);
-    let mut engine = AccelEngine::new(testbed.accel_config(location, true));
-    let mut world = DlrmWorld::new(params);
-    let mut preprocess_cores = CpuServer::new(testbed.cpu.clone(), params.costs.preprocess_cores, 16);
-    let mut dispatch = Server::new(1);
-    let ring_kind = match location {
-        DataLocation::LocalDdr => MemKind::AccelDdr,
-        DataLocation::LocalHbm => MemKind::AccelHbm,
-        _ => MemKind::Dram,
-    };
-    let ring_mr = server.rnic.register_region(MrInfo::adaptive(ring_kind));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let req_opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
-    let resp_opts = WriteOpts { post: PostPath::AccelMmio, batch: 16, flags: PostFlags::NONE };
-    let row = params.row_bytes();
-    let costs = params.costs.clone();
-    let clients = params.clients;
-    let local_row = (row as f64 * costs.local_gather_overhead) as u64;
-    let scope_names = params.scope_names();
-
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let (plan, wire, _score) = world.next_query(params);
-        observe_plan(scopes, &plan);
-        let table = params.scope_of(&plan);
-        let fin = 'query: {
-            // Request into the accelerator's ring.
-            let out = match rdma_write(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                &mut client.mem,
-                ring_mr,
-                wire,
-                req_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_request", out.delivered_at);
-            let discovered = engine.discover(out.delivered_at, clients, &mut world.rng);
-            tr.leg("coherence", discovered);
-            let start = engine.claim_slot(discovered);
-            tr.leg("dispatch", start);
-            // Hand the raw request to a host core for pre-processing through
-            // the intra-machine ring, and get the model-ready input back.
-            let sent = engine.ring_write(start, wire, &mut server.mem);
-            tr.leg("ring_write", sent);
-            let preprocessed = preprocess_cores.occupy(sent, costs.preprocess);
-            tr.leg("cpu_preprocess", preprocessed);
-            let input_back = engine.ring_read(preprocessed, wire, &mut server.mem);
-            tr.leg("ring_read", input_back);
-            // Scheduler/(de)serializer occupancy (serial per query).
-            let disp = dispatch.acquire(input_back, costs.apu_dispatch) + costs.apu_dispatch;
-            tr.leg("apu_dispatch", disp);
-            // The embedding reduction: 64 outstanding gathers per query
-            // (Sec. IV-C), bandwidth-bound on the chosen memory.
-            let rows = plan.lookups();
-            let gathered = if location.is_host() {
-                engine.gather(disp, rows, row, &mut server.mem)
-            } else {
-                engine.gather(disp, rows, local_row, &mut server.mem)
-            };
-            tr.leg("gather", gathered);
-            // FC layers on the APU, then respond through the RNIC.
-            let fc_done = gathered + costs.mlp_apu;
-            tr.leg("apu_compute", fc_done);
-            let wqe = engine.sq_write_wqe(fc_done);
-            tr.leg("doorbell", wqe);
-            engine.release_slot(discovered, wqe);
-            let resp = match rdma_write(
-                wqe,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                &mut server.mem,
-                client_mr,
-                16,
-                resp_opts,
-            ) {
-                Ok(resp) => resp,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_response", resp.delivered_at);
-            tr.finish(resp.delivered_at);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                engine.publish_metrics(s, "accel");
-                preprocess_cores.publish_metrics(s, "preprocess");
-                s.observe_server("apu_dispatch", &dispatch);
-                net.publish_metrics(s, "net");
-            });
-            resp.delivered_at
-        };
-        // Scope attribution covers shed queries too: every traced query
-        // lands in exactly one embedding-table partition.
-        scopes.record(&scope_names[table], at, fin);
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    client.publish_metrics(resources, "client");
-    server.publish_metrics(resources, "server");
-    engine.publish_metrics(resources, "accel");
-    preprocess_cores.publish_metrics(resources, "preprocess");
-    resources.observe_server("apu_dispatch", &dispatch);
-    net.publish_metrics(resources, "net");
-    net.publish_scoped(scopes, "net");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
-}
-
-/// Charges a memory write without advancing time (placeholder for response
-/// bookkeeping; kept for symmetry and bandwidth accounting in ablations).
-#[allow(dead_code)]
-fn charge_write(mem: &mut MemorySystem, at: rambda_des::SimTime, kind: MemKind, bytes: u64) {
-    mem.access(at, MemReq { kind, access: AccessKind::Write, bytes });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rambda::SimBuilder;
+    use rambda::{SimBuilder, Testbed};
 
     fn cpu_mops(p: &DlrmParams, cores: usize) -> f64 {
         SimBuilder::new(Design::dlrm_cpu(p.clone(), cores))

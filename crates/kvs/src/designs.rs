@@ -6,14 +6,14 @@
 //! use the modelled footprint. Keys follow uniform or Zipf-0.9 popularity;
 //! workloads are 100 % GET or 50/50 GET/PUT.
 
-use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, Design, DriverConfig, Machine, Machines, Req};
 use rambda_accel::{AccelEngine, Apu, ApuCtx, DataLocation};
-use rambda_des::{Server, SimRng, SimTime, Span};
+use rambda_des::{Server, SimRng, Span};
 use rambda_fabric::{Network, NodeId};
 use rambda_mem::{MemKind, MemorySystem};
-use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, RdmaError, WriteOpts};
+use rambda_metrics::MetricSet;
+use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, WriteOpts};
 use rambda_smartnic::SmartNic;
-use rambda_trace::{ReqObs, Tracer};
 use rambda_workloads::{KeyDist, KvMix, KvOp};
 
 use crate::apu::{KvApu, KvRequest};
@@ -170,12 +170,16 @@ const SERVER: NodeId = NodeId(1);
 const SCOPE_SHARDS: u64 = 4;
 
 impl KvsParams {
-    fn scope_names(&self) -> Vec<String> {
-        (0..SCOPE_SHARDS.min(self.pairs.max(1))).map(|s| format!("shard/{s}")).collect()
+    fn scopes(&self) -> (&'static str, usize) {
+        ("shard", SCOPE_SHARDS.min(self.pairs.max(1)) as usize)
     }
 
-    fn scope_of(&self, key: u64) -> usize {
-        (key * SCOPE_SHARDS.min(self.pairs.max(1)) / self.pairs.max(1)) as usize
+    /// Attributes a request to its key's shard and feeds the key into the
+    /// hot-key sketch.
+    fn tag(&self, op: &KvOp, req: &mut Req<'_>) {
+        let key = op.key();
+        req.scope((key * SCOPE_SHARDS.min(self.pairs.max(1)) / self.pairs.max(1)) as usize);
+        req.key(key);
     }
 }
 
@@ -184,24 +188,6 @@ impl KvsParams {
 /// "more stable behaviour than the CPU core" tail-latency observation.
 const CPU_JITTER_P: f64 = 0.02;
 const CPU_JITTER_MEAN_US: f64 = 0.8;
-
-/// Degraded-mode completion: the RDMA layer exhausted its retransmission
-/// budget, so the design sheds the request — the client observes a timeout
-/// at the error-completion time — instead of asserting.
-fn shed(mut tr: ReqObs<'_>, err: &RdmaError) -> SimTime {
-    let at = err.at();
-    tr.leg("shed", at);
-    tr.finish(at);
-    at
-}
-
-/// Forwards the run's injected-fault log from the network to the flight
-/// recorder as instants on the fabric track.
-fn drain_faults(net: &mut Network, tracer: &mut Tracer) {
-    for ev in net.drain_fault_events() {
-        tracer.fault(ev.kind.name(), ev.at, ev.from.0, ev.to.0);
-    }
-}
 
 /// [`Design`] constructors for the KVS experiments, so
 /// [`rambda::SimBuilder`] can run them: `SimBuilder::new(Design::kvs_rambda(p,
@@ -215,321 +201,305 @@ pub trait KvsDesigns {
     fn kvs_smartnic(params: KvsParams) -> Design;
 }
 
+/// The CPU design's machines: two-sided RDMA RPC over ten server cores
+/// (HERD/MICA-style).
+struct KvsCpu {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    cpu: CpuServer,
+}
+
+impl Machines for KvsCpu {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.cpu.publish_metrics(s, "cpu");
+        self.net.publish_metrics(s, "net");
+    }
+
+    fn network(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+/// The Rambda design's machines: the accelerator and its SQ handler, which
+/// serializes WQE assembly + doorbells.
+struct KvsRambda {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    engine: AccelEngine,
+    sq: Server,
+}
+
+impl Machines for KvsRambda {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.engine.publish_metrics(s, "accel");
+        s.observe_server("sq", &self.sq);
+        self.net.publish_metrics(s, "net");
+    }
+
+    fn network(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+/// The Smart NIC design's machines: eight ARM cores with a 512 MB on-board
+/// cache of the host data in their own memory.
+struct KvsSmartNic {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    nic: SmartNic,
+    nic_mem: MemorySystem,
+}
+
+impl Machines for KvsSmartNic {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.nic.publish_metrics(s, "smartnic");
+        self.nic_mem.publish_metrics(s, "nic_mem");
+        self.net.publish_metrics(s, "net");
+    }
+
+    /// The Smart NIC path models raw Ethernet sends (its RPC transport
+    /// hides recovery in firmware), so only degrade windows of the fault
+    /// plan reach it — drop/corrupt verdicts apply to RC-QP `transmit`s.
+    fn network(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
 impl KvsDesigns for Design {
     fn kvs_cpu(params: KvsParams) -> Design {
-        Design::from_runner("kvs.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, ctx))
+        Design::new("kvs.cpu", params.seed, params.driver(), params.scopes(), move |tb| {
+            let mut m = KvsCpu {
+                net: Network::new(tb.net.clone()),
+                client: Machine::new(CLIENT, tb, true),
+                server: Machine::new(SERVER, tb, true),
+                cpu: CpuServer::new(tb.cpu.clone(), params.cores, params.batch),
+            };
+            let mut store = params.loaded_store();
+            let mix = params.mix();
+            let mut rng = SimRng::seed(params.seed);
+            let rq_mr = m.server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let client_mr = m.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
+            let put_value = vec![0xAB; params.value_bytes as usize];
+            (m, move |m: &mut KvsCpu, _, at, req: &mut Req<'_>| {
+                let op = mix.next_op(&mut rng);
+                params.tag(&op, req);
+                let KvsCpu { net, client, server, cpu } = m;
+                // Request: two-sided send into the server's posted RQ.
+                let delivered = two_sided_send(
+                    at,
+                    &mut client.rnic,
+                    &mut server.rnic,
+                    net,
+                    &mut server.mem,
+                    rq_mr,
+                    params.request_bytes(&op),
+                    opts,
+                )?;
+                req.leg("fabric_request", delivered);
+                // Re-post the consumed RECV WQE (extra NIC pipeline work of
+                // the two-sided path).
+                let t = server.rnic.next_in_pipeline(delivered);
+                req.leg("rnic_pipeline", t);
+                // Application processing on a core.
+                let trace = match op {
+                    KvOp::Get { key } => store.get(key).1,
+                    KvOp::Put { key, .. } => store.put_slice(key, &put_value),
+                };
+                let mut done = cpu.serve_request(
+                    t,
+                    trace.bucket_reads + trace.value_reads,
+                    trace.writes as u64 * 64,
+                    MemKind::Dram,
+                    &mut server.mem,
+                );
+                if rng.chance(CPU_JITTER_P) {
+                    done += Span::from_ns_f64(1000.0 * rng.exp(CPU_JITTER_MEAN_US));
+                }
+                req.leg("cpu_serve", done);
+                // Response: two-sided back to the client.
+                let fin = two_sided_send(
+                    done,
+                    &mut server.rnic,
+                    &mut client.rnic,
+                    net,
+                    &mut client.mem,
+                    client_mr,
+                    params.response_bytes(&op),
+                    opts,
+                )?;
+                req.leg("fabric_response", fin);
+                Ok(fin)
+            })
+        })
     }
 
     fn kvs_rambda(params: KvsParams, location: DataLocation) -> Design {
-        Design::from_runner("kvs.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
+        Design::new("kvs.rambda", params.seed, params.driver(), params.scopes(), move |tb| {
+            // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
+            let mut m = KvsRambda {
+                net: Network::new(tb.net.clone()),
+                client: Machine::new(CLIENT, tb, false),
+                server: Machine::new(SERVER, tb, false),
+                engine: AccelEngine::new(tb.accel_config(location, true)),
+                sq: Server::new(1),
+            };
+            let mut apu = KvApu::new(params.loaded_store());
+            let mix = params.mix();
+            let mut rng = SimRng::seed(params.seed);
+            let ring_mr = m.server.rnic.register_region(MrInfo::adaptive(location.mem_kind()));
+            let client_mr = m.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+            let req_opts =
+                WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
+            let resp_opts = WriteOpts { post: PostPath::AccelMmio, ..req_opts };
+            // Batching amortizes the SQ handler's MMIO+sfence (Sec. VI-B's
+            // ~2x batching gain for Rambda).
+            let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
+            (m, move |m: &mut KvsRambda, _, at, req: &mut Req<'_>| {
+                let op = mix.next_op(&mut rng);
+                params.tag(&op, req);
+                let KvsRambda { net, client, server, engine, sq } = m;
+                let req_bytes = params.request_bytes(&op);
+                // One-sided write into the request ring (cpoll region).
+                let out = rdma_write(
+                    at,
+                    &mut client.rnic,
+                    &mut server.rnic,
+                    net,
+                    &mut server.mem,
+                    &mut client.mem,
+                    ring_mr,
+                    req_bytes,
+                    req_opts,
+                )?;
+                req.leg("fabric_request", out.delivered_at);
+                // cpoll discovery + scheduler dispatch.
+                let discovered = engine.discover(out.delivered_at, params.clients, &mut rng);
+                req.leg("coherence", discovered);
+                let start = engine.claim_slot(discovered);
+                req.leg("dispatch", start);
+                // Fetch the request entry from the ring.
+                let fetched = if location.is_host() {
+                    engine.ring_read(start, req_bytes, &mut server.mem)
+                } else {
+                    engine.mem_access(start, req_bytes, false, &mut server.mem)
+                };
+                req.leg("ring_read", fetched);
+                // APU processing (hash + walk + value).
+                let mut ctx = ApuCtx::new(engine, &mut server.mem, fetched);
+                let _resp = apu.process(params.to_request(&op), &mut ctx);
+                let done = ctx.now();
+                req.leg("apu_compute", done);
+                // SQ handler: assemble WQE, write it to the WQ, ring the doorbell.
+                let wqe = engine.sq_write_wqe(done);
+                req.leg("sq_wqe", wqe);
+                let emitted = sq.acquire(wqe, sq_hold) + sq_hold;
+                req.leg("doorbell", emitted);
+                engine.release_slot(discovered, emitted);
+                // Response by one-sided write back to the client's response ring.
+                let resp = rdma_write(
+                    emitted,
+                    &mut server.rnic,
+                    &mut client.rnic,
+                    net,
+                    &mut client.mem,
+                    &mut server.mem,
+                    client_mr,
+                    params.response_bytes(&op),
+                    resp_opts,
+                )?;
+                req.leg("fabric_response", resp.delivered_at);
+                Ok(resp.delivered_at)
+            })
+        })
     }
 
     fn kvs_smartnic(params: KvsParams) -> Design {
-        Design::from_runner("kvs.smartnic", params.seed, move |tb, ctx| run_smartnic(tb, &params, ctx))
+        Design::new("kvs.smartnic", params.seed, params.driver(), params.scopes(), move |tb| {
+            let m = KvsSmartNic {
+                net: Network::new(tb.net.clone()),
+                client: Machine::new(CLIENT, tb, true),
+                server: Machine::new(SERVER, tb, true),
+                nic: SmartNic::new(tb.smartnic.clone()),
+                nic_mem: MemorySystem::new(tb.mem.clone(), true),
+            };
+            let mut store = params.loaded_store();
+            let mix = params.mix();
+            let mut rng = SimRng::seed(params.seed);
+            // Cache-hit probability: the 512 MB on-board cache holds the
+            // hottest fraction of the modelled footprint (hash entries +
+            // pairs).
+            let cache_items = (tb.smartnic.cache_bytes as f64 / params.modeled_footprint_bytes() as f64
+                * params.pairs as f64) as u64;
+            let hit_rate = params.dist().hot_mass(cache_items);
+            let wqe_gap = m.client.rnic.config().wqe_gap;
+            let put_value = vec![0xAB; params.value_bytes as usize];
+            (m, move |m: &mut KvsSmartNic, _, at, req: &mut Req<'_>| {
+                let op = mix.next_op(&mut rng);
+                params.tag(&op, req);
+                let KvsSmartNic { net, client, server, nic, nic_mem } = m;
+                // Client posts; request terminates at the Smart NIC (no host
+                // PCIe).
+                let posted = if params.batch == 1 {
+                    client.rnic.post(at, PostPath::HostMmio, 1)
+                } else {
+                    client.rnic.next_in_pipeline(at + wqe_gap.mul_f64(1.0 / params.batch as f64))
+                };
+                req.leg("doorbell", posted);
+                let arrived = net.send(posted, CLIENT, SERVER, params.request_bytes(&op));
+                let arrived = server.rnic.rx_process(arrived);
+                req.leg("fabric_request", arrived);
+                // ARM core walks the structure; each access hits the
+                // on-board cache with `hit_rate`, else crosses PCIe
+                // synchronously.
+                let start = nic.begin_request(arrived);
+                req.leg("arm_dispatch", start);
+                let trace = match op {
+                    KvOp::Get { key } => store.get(key).1,
+                    KvOp::Put { key, .. } => store.put_slice(key, &put_value),
+                };
+                let mut t = start;
+                for _ in 0..(trace.bucket_reads + trace.value_reads) {
+                    let local = rng.chance(hit_rate);
+                    t = nic.mem_access(
+                        t,
+                        64,
+                        false,
+                        local,
+                        nic_mem,
+                        &mut server.mem,
+                        MemKind::Dram,
+                        &mut rng,
+                    );
+                }
+                for _ in 0..trace.writes {
+                    let local = rng.chance(hit_rate);
+                    t = nic.mem_access(t, 64, true, local, nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
+                }
+                req.leg("arm_mem_access", t);
+                nic.end_request(arrived, t);
+                // Response straight from the NIC.
+                let fin = net.send(t, SERVER, CLIENT, params.response_bytes(&op));
+                req.leg("fabric_response", fin);
+                Ok(fin)
+            })
+        })
     }
-}
-
-/// The CPU design: two-sided RDMA RPC over ten cores (HERD/MICA-style).
-fn run_cpu(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
-    let mut cpu = CpuServer::new(testbed.cpu.clone(), params.cores, params.batch);
-    let mut store = params.loaded_store();
-    let mix = params.mix();
-    let mut rng = SimRng::seed(params.seed);
-    let scope_names = params.scope_names();
-
-    let rq_mr = server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
-    let put_value = vec![0xAB; params.value_bytes as usize];
-
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let op = mix.next_op(&mut rng);
-        let fin = 'req: {
-            // Request: two-sided send into the server's posted RQ.
-            let delivered = match two_sided_send(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                rq_mr,
-                params.request_bytes(&op),
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_request", delivered);
-            // Re-post the consumed RECV WQE (extra NIC pipeline work of the
-            // two-sided path).
-            let t = server.rnic.next_in_pipeline(delivered);
-            tr.leg("rnic_pipeline", t);
-            // Application processing on a core.
-            let trace = match op {
-                KvOp::Get { key } => store.get(key).1,
-                KvOp::Put { key, .. } => store.put_slice(key, &put_value),
-            };
-            let mut done = cpu.serve_request(
-                t,
-                trace.bucket_reads + trace.value_reads,
-                trace.writes as u64 * 64,
-                MemKind::Dram,
-                &mut server.mem,
-            );
-            if rng.chance(CPU_JITTER_P) {
-                done += Span::from_ns_f64(1000.0 * rng.exp(CPU_JITTER_MEAN_US));
-            }
-            tr.leg("cpu_serve", done);
-            // Response: two-sided back to the client.
-            let fin = match two_sided_send(
-                done,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                client_mr,
-                params.response_bytes(&op),
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_response", fin);
-            tr.finish(fin);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                cpu.publish_metrics(s, "cpu");
-                net.publish_metrics(s, "net");
-            });
-            fin
-        };
-        // Scope attribution covers shed requests too: every traced request
-        // lands in exactly one key-range shard.
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    client.publish_metrics(resources, "client");
-    server.publish_metrics(resources, "server");
-    cpu.publish_metrics(resources, "cpu");
-    net.publish_metrics(resources, "net");
-    net.publish_scoped(scopes, "net");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
-}
-
-/// The Rambda design (and its LD/LH variants via `location`).
-fn run_rambda(testbed: &Testbed, params: &KvsParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
-    let mut client = rambda::Machine::new(CLIENT, testbed, false);
-    let mut server = rambda::Machine::new(SERVER, testbed, false);
-    let mut engine = AccelEngine::new(testbed.accel_config(location, true));
-    let mut apu = KvApu::new(params.loaded_store());
-    let mix = params.mix();
-    let mut rng = SimRng::seed(params.seed);
-    let clients = params.clients;
-    let scope_names = params.scope_names();
-
-    let ring_kind = match location {
-        DataLocation::LocalDdr => MemKind::AccelDdr,
-        DataLocation::LocalHbm => MemKind::AccelHbm,
-        _ => MemKind::Dram,
-    };
-    let ring_mr = server.rnic.register_region(MrInfo::adaptive(ring_kind));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let req_opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
-    let resp_opts = WriteOpts { post: PostPath::AccelMmio, batch: params.batch, flags: PostFlags::NONE };
-    // The SQ handler serializes WQE assembly + doorbells; batching amortizes
-    // the MMIO+sfence (Sec. VI-B's ~2x batching gain for Rambda).
-    let mut sq = Server::new(1);
-    let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
-
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let op = mix.next_op(&mut rng);
-        let fin = 'req: {
-            // One-sided write into the request ring (cpoll region).
-            let out = match rdma_write(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                &mut client.mem,
-                ring_mr,
-                params.request_bytes(&op),
-                req_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_request", out.delivered_at);
-            // cpoll discovery + scheduler dispatch.
-            let discovered = engine.discover(out.delivered_at, clients, &mut rng);
-            tr.leg("coherence", discovered);
-            let start = engine.claim_slot(discovered);
-            tr.leg("dispatch", start);
-            // Fetch the request entry from the ring.
-            let fetched = if location.is_host() {
-                engine.ring_read(start, params.request_bytes(&op), &mut server.mem)
-            } else {
-                engine.mem_access(start, params.request_bytes(&op), false, &mut server.mem)
-            };
-            tr.leg("ring_read", fetched);
-            // APU processing (hash + walk + value).
-            let mut ctx = ApuCtx::new(&mut engine, &mut server.mem, fetched);
-            let _resp = apu.process(params.to_request(&op), &mut ctx);
-            let done = ctx.now();
-            tr.leg("apu_compute", done);
-            // SQ handler: assemble WQE, write it to the WQ, ring the doorbell.
-            let wqe = engine.sq_write_wqe(done);
-            tr.leg("sq_wqe", wqe);
-            let db_start = sq.acquire(wqe, sq_hold);
-            let emitted = db_start + sq_hold;
-            tr.leg("doorbell", emitted);
-            engine.release_slot(discovered, emitted);
-            // Response by one-sided write back to the client's response ring.
-            let resp = match rdma_write(
-                emitted,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                &mut server.mem,
-                client_mr,
-                params.response_bytes(&op),
-                resp_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_response", resp.delivered_at);
-            tr.finish(resp.delivered_at);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                engine.publish_metrics(s, "accel");
-                s.observe_server("sq", &sq);
-                net.publish_metrics(s, "net");
-            });
-            resp.delivered_at
-        };
-        // Scope attribution covers shed requests too: every traced request
-        // lands in exactly one key-range shard.
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    client.publish_metrics(resources, "client");
-    server.publish_metrics(resources, "server");
-    engine.publish_metrics(resources, "accel");
-    resources.observe_server("sq", &sq);
-    net.publish_metrics(resources, "net");
-    net.publish_scoped(scopes, "net");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
-}
-
-/// The Smart NIC design: eight ARM cores, 512 MB on-board cache of the host
-/// data, synchronous one-sided reads to the host on misses.
-fn run_smartnic(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    // The Smart NIC path models raw Ethernet sends (its RPC transport hides
-    // recovery in firmware), so only degrade windows of the fault plan
-    // reach it — drop/corrupt verdicts apply to RC-QP `transmit`s.
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
-    let mut nic = SmartNic::new(testbed.smartnic.clone());
-    let mut nic_mem = MemorySystem::new(testbed.mem.clone(), true);
-    let mut store = params.loaded_store();
-    let mix = params.mix();
-    let mut rng = SimRng::seed(params.seed);
-
-    // Cache-hit probability: the 512 MB on-board cache holds the hottest
-    // fraction of the modelled footprint (hash entries + pairs).
-    let cache_items = (testbed.smartnic.cache_bytes as f64 / params.modeled_footprint_bytes() as f64
-        * params.pairs as f64) as u64;
-    let hit_rate = params.dist().hot_mass(cache_items);
-    let wqe_gap = client.rnic.config().wqe_gap;
-    let put_value = vec![0xAB; params.value_bytes as usize];
-    let scope_names = params.scope_names();
-
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let op = mix.next_op(&mut rng);
-        // Client posts; request terminates at the Smart NIC (no host PCIe).
-        let posted = if params.batch == 1 {
-            client.rnic.post(at, PostPath::HostMmio, 1)
-        } else {
-            client.rnic.next_in_pipeline(at + wqe_gap.mul_f64(1.0 / params.batch as f64))
-        };
-        tr.leg("doorbell", posted);
-        let arrived = net.send(posted, CLIENT, SERVER, params.request_bytes(&op));
-        let arrived = server.rnic.rx_process(arrived);
-        tr.leg("fabric_request", arrived);
-        // ARM core walks the structure; each access hits the on-board cache
-        // with `hit_rate`, else crosses PCIe synchronously.
-        let start = nic.begin_request(arrived);
-        tr.leg("arm_dispatch", start);
-        let trace = match op {
-            KvOp::Get { key } => store.get(key).1,
-            KvOp::Put { key, .. } => store.put_slice(key, &put_value),
-        };
-        let mut t = start;
-        for _ in 0..(trace.bucket_reads + trace.value_reads) {
-            let local = rng.chance(hit_rate);
-            t = nic.mem_access(t, 64, false, local, &mut nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
-        }
-        for _ in 0..trace.writes {
-            let local = rng.chance(hit_rate);
-            t = nic.mem_access(t, 64, true, local, &mut nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
-        }
-        tr.leg("arm_mem_access", t);
-        nic.end_request(arrived, t);
-        // Response straight from the NIC.
-        let fin = net.send(t, SERVER, CLIENT, params.response_bytes(&op));
-        tr.leg("fabric_response", fin);
-        tr.finish(fin);
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        tracer.sample_with(rec, at, |s| {
-            client.publish_metrics(s, "client");
-            server.publish_metrics(s, "server");
-            nic.publish_metrics(s, "smartnic");
-            nic_mem.publish_metrics(s, "nic_mem");
-            net.publish_metrics(s, "net");
-        });
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    client.publish_metrics(resources, "client");
-    server.publish_metrics(resources, "server");
-    nic.publish_metrics(resources, "smartnic");
-    nic_mem.publish_metrics(resources, "nic_mem");
-    net.publish_metrics(resources, "net");
-    net.publish_scoped(scopes, "net");
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rambda::SimBuilder;
+    use rambda::{SimBuilder, Testbed};
     use rambda_metrics::RunReport;
 
     fn tb() -> Testbed {

@@ -83,8 +83,8 @@ impl ScopeState {
     }
 }
 
-/// Registry of named child metric scopes, threaded through `SimCtx` the way
-/// the stage recorder and tracer are.
+/// Registry of named child metric scopes, threaded through the design run
+/// loop the way the stage recorder and tracer are.
 ///
 /// A disabled registry ([`ScopedMetrics::disabled`]) turns every call into
 /// a cheap branch, so instrumented serve loops run unchanged — and produce

@@ -257,7 +257,7 @@ mod tests {
             obs.leg("fabric_request", t0 + Span::from_ns(300));
             obs.leg("apu_compute", t0 + Span::from_ns(900));
             obs.finish(t0 + Span::from_ns(900));
-            tracer.maybe_sample(t0 + Span::from_ns(900), |s| s.set("net.bytes", (i + 1) * 64));
+            tracer.sample_with(&mut rec, t0 + Span::from_ns(900), |s| s.set("net.bytes", (i + 1) * 64));
         }
         tracer
     }

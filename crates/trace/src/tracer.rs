@@ -147,28 +147,14 @@ impl Tracer {
         ReqObs { tr: rec.trace(issued), tracer: self, open }
     }
 
-    /// Samples cumulative counters if the deterministic grid is due at
-    /// `now`. `fill` is only invoked when a sample is actually taken, so
-    /// the cost of building the counter set is paid at the grid rate, not
-    /// per request. One [`TraceEvent::Sample`] is recorded per counter,
-    /// stamped at the grid instant (not at `now`).
-    pub fn maybe_sample(&mut self, now: SimTime, fill: impl FnOnce(&mut MetricSet)) {
-        let Some(buf) = self.buf.as_mut() else { return };
-        let Some(tick) = buf.clock.due(now) else { return };
-        let mut set = MetricSet::new();
-        fill(&mut set);
-        for (name, value) in set.counters() {
-            buf.push(TraceEvent::Sample { name: name.to_string(), at_ps: tick.as_ps(), value });
-        }
-    }
-
     /// Feeds one periodic counter sample to both deterministic sinks: this
-    /// tracer's ring (when its grid is due, as [`Tracer::maybe_sample`])
-    /// and `rec`'s windowed timeline (when its snapshot grid is due).
-    /// `fill` builds the cumulative counter set and runs at most once, only
-    /// if at least one sink is due — so serve closures pay the sampling
-    /// cost at the grid rate, not per request, and traced and untraced
-    /// runs share one call site.
+    /// tracer's ring (when its grid is due) and `rec`'s windowed timeline
+    /// (when its snapshot grid is due). `fill` builds the cumulative
+    /// counter set and runs at most once, only if at least one sink is due
+    /// — so serve closures pay the sampling cost at the grid rate, not per
+    /// request, and traced and untraced runs share one call site. The ring
+    /// records one [`TraceEvent::Sample`] per counter, stamped at the grid
+    /// instant (not at `now`).
     pub fn sample_with(&mut self, rec: &mut StageRecorder, now: SimTime, fill: impl FnOnce(&mut MetricSet)) {
         let ring_tick = self.buf.as_mut().and_then(|b| b.clock.due(now));
         let timeline_tick = rec.timeline_due(now);
@@ -278,7 +264,7 @@ mod tests {
         let mut obs = tracer.observe(&mut rec, ns(0));
         obs.leg("fabric_request", ns(10));
         obs.finish(ns(10));
-        tracer.maybe_sample(ns(1_000_000), |_| panic!("fill must not run when disabled"));
+        tracer.sample_with(&mut rec, ns(1_000_000), |s| s.set("cpu.busy_ps", 1));
         assert!(!tracer.is_enabled());
         assert!(tracer.is_empty());
         // The underlying recorder still records.
@@ -332,9 +318,12 @@ mod tests {
 
     #[test]
     fn sampler_fires_on_the_grid_and_records_counters() {
+        // The recorder's 50 µs timeline grid is not due before 50 µs, so
+        // only the ring's 10 µs grid decides when `fill` runs here.
+        let mut rec = StageRecorder::active();
         let mut tracer = Tracer::bounded(64, Span::from_us(10));
-        tracer.maybe_sample(SimTime::from_ns(500), |_| panic!("before the first grid point"));
-        tracer.maybe_sample(SimTime::from_us(25), |s| {
+        tracer.sample_with(&mut rec, SimTime::from_ns(500), |_| panic!("before the first grid point"));
+        tracer.sample_with(&mut rec, SimTime::from_us(25), |s| {
             s.set("net.bytes", 4096);
             s.set("accel.busy_ps", 77);
         });
@@ -344,7 +333,7 @@ mod tests {
         // Name-sorted, stamped at the 20 µs grid point, not at 25 µs.
         assert_eq!((name.as_str(), at_ps, value), ("accel.busy_ps", 20_000_000, 77));
         // Second call inside the same grid interval does not fire.
-        tracer.maybe_sample(SimTime::from_us(26), |_| panic!("grid interval already sampled"));
+        tracer.sample_with(&mut rec, SimTime::from_us(26), |_| panic!("grid interval already sampled"));
     }
 
     #[test]

@@ -181,7 +181,7 @@ mod tests {
             obs.finish(done);
             latency.record(done - t0);
             done_at = done_at.max(done);
-            tracer.maybe_sample(done, |s| s.set("accel.ops", i + 1));
+            tracer.sample_with(&mut rec, done, |s| s.set("accel.ops", i + 1));
         }
         let mut resources = MetricSet::new();
         resources.set("accel.ops", 50);

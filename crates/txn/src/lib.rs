@@ -24,5 +24,5 @@ mod reference;
 pub mod store;
 
 pub use chain::{Chain, ConcurrencyControl, TxnOutcome, TxnWrite};
-pub use designs::{run_pure_reads, TxnDesigns, TxnParams};
+pub use designs::{TxnDesigns, TxnParams};
 pub use store::{PersistentStore, WalRecord};

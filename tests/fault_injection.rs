@@ -15,12 +15,16 @@
 use std::fs;
 use std::path::PathBuf;
 
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
+use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::RunReport;
 use rambda_trace::Tracer;
+use rambda_txn::{TxnDesigns, TxnParams};
+use rambda_workloads::{DlrmProfile, TxnSpec};
 
 const FAULT_SEED: u64 = 0xFA17;
 
@@ -104,15 +108,37 @@ fn injected_loss_is_recovered_and_costs_exact_tail_latency() {
 
 #[test]
 fn retry_cap_exhaustion_sheds_the_request_instead_of_panicking() {
-    // Total loss: every data-path frame drops, so every operation burns its
-    // full retry budget and fails. The design must degrade — shed requests
-    // and report them — rather than assert.
-    let p = KvsParams { requests: 300, ..KvsParams::quick() };
-    let report = kvs_with_faults(&p, FaultConfig::lossy(FAULT_SEED, 1.0));
-    report.validate().expect("a fully shedding run still satisfies every identity");
-    assert!(counter_sum(&report, ".retries_exhausted") > 0, "total loss must exhaust retry caps");
-    assert!(
-        report.stages.iter().any(|(name, s)| name == "shed" && s.count > 0),
-        "shed requests must appear in the stage breakdown"
-    );
+    // Total loss: every data-path frame drops, so every RC operation burns
+    // its full retry budget and fails. Each design must degrade — shed
+    // requests and report them — rather than assert. The designs without
+    // RC verbs (the single-machine micro designs and the Smart NIC, whose
+    // raw sends the plan does not judge) must not notice the plan at all.
+    let micro = MicroParams { requests: 2_000, ..MicroParams::quick() };
+    let kvs = KvsParams { requests: 300, ..KvsParams::quick() };
+    let txn = TxnParams { txns: 100, ..TxnParams::quick(TxnSpec::read_write(64)) };
+    let dlrm = DlrmParams { queries: 200, ..DlrmParams::quick(DlrmProfile::by_name("Books").unwrap()) };
+    let designs: [(bool, Box<dyn Fn() -> Design>); 9] = [
+        (false, Box::new(move || Design::micro_cpu(micro, 8, 16))),
+        (false, Box::new(move || Design::micro_rambda(micro, DataLocation::HostDram, true, 1))),
+        (true, Box::new(|| Design::kvs_cpu(kvs.clone()))),
+        (true, Box::new(|| Design::kvs_rambda(kvs.clone(), DataLocation::HostDram))),
+        (false, Box::new(|| Design::kvs_smartnic(kvs.clone()))),
+        (true, Box::new(|| Design::txn_hyperloop(txn.clone()))),
+        (true, Box::new(|| Design::txn_rambda_tx(txn.clone()))),
+        (true, Box::new(|| Design::dlrm_cpu(dlrm.clone(), 8))),
+        (true, Box::new(|| Design::dlrm_rambda(dlrm.clone(), DataLocation::HostDram))),
+    ];
+    for (rc_verbs, design) in designs {
+        let name = design().name();
+        let lossy = SimBuilder::new(design()).faults(FaultConfig::lossy(FAULT_SEED, 1.0)).run();
+        lossy.validate().unwrap_or_else(|e| panic!("{name}: a fully lossy run fails validation: {e}"));
+        if !rc_verbs {
+            let clean = SimBuilder::new(design()).run();
+            assert_eq!(lossy.to_json_string(), clean.to_json_string(), "{name}: the plan moved the run");
+            continue;
+        }
+        assert!(counter_sum(&lossy, ".retries_exhausted") > 0, "{name}: total loss must exhaust retry caps");
+        let shed = lossy.stages.iter().find(|(stage, _)| stage == "shed").map_or(0, |(_, s)| s.count);
+        assert_eq!(shed, lossy.total.count, "{name}: every request must be shed");
+    }
 }
