@@ -43,10 +43,21 @@ fn bench_spsc(c: &mut Criterion) {
 }
 
 fn bench_kv(c: &mut Criterion) {
-    let mut store = KvStore::new(KvConfig::for_pairs(100_000, 64));
-    for k in 0..100_000u64 {
-        store.put(k, vec![0u8; 64]);
-    }
+    let cfg = KvConfig::for_pairs(100_000, 64);
+    let value = [0u8; 64];
+    let pairs = || (0..100_000u64).map(|k| (k, &value[..]));
+    c.bench_function("kv_bulk_load_100k", |b| {
+        b.iter_batched(
+            || KvStore::new(cfg.clone()),
+            |mut store| {
+                store.bulk_load(pairs());
+                store.len()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    let mut store = KvStore::new(cfg);
+    store.bulk_load(pairs());
     let mut rng = SimRng::seed(1);
     c.bench_function("kv_get_hit", |b| {
         b.iter(|| {

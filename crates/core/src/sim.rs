@@ -163,7 +163,8 @@ impl std::fmt::Debug for Design {
 }
 
 /// The run loop every design shares: drives `path` over `m` in a closed
-/// loop and leaves the final counters in `ctx.resources`.
+/// loop and leaves the final counters in `ctx.resources`; `SimBuilder::run`
+/// takes the final trace sample once the scopes section is attached.
 fn serve<M, P>(
     mut m: M,
     mut path: P,
@@ -208,7 +209,6 @@ where
     if let Some(net) = m.network() {
         net.publish_scoped(scopes, "net");
     }
-    tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     stats
 }
 
@@ -290,17 +290,20 @@ impl<'a> SimBuilder<'a> {
         let ctx = Ctx {
             rec: &mut rec,
             resources: &mut resources,
-            tracer,
+            tracer: &mut *tracer,
             faults: &self.faults,
             scopes: &mut scoped,
         };
         let stats = (self.design.run)(&self.testbed, ctx);
         let mut report = build_report(self.design.name, self.design.seed, &stats, &mut rec, resources);
-        if self.profile {
-            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
-        }
         if scoped.is_active() {
             report.attach_scopes(scoped.finalize(report.timeline.as_ref()));
+        }
+        // The final sample sees the scope mirrors too; the `event_core.*`
+        // mirror is held to its section by `validate_event_core` instead.
+        tracer.final_sample(SimTime::ZERO + stats.makespan, &report.resources);
+        if self.profile {
+            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
         }
         report
     }
@@ -409,6 +412,17 @@ mod tests {
         let mut tracer = Tracer::flight_recorder();
         let report = SimBuilder::new(toy(3, false)).tracer(&mut tracer).run();
         tracer.cross_validate(&report).expect("trace matches report");
+    }
+
+    #[test]
+    fn traced_scoped_runs_cross_validate() {
+        // The final sample must carry the `scope.*`, `hot.*` and `slo.*`
+        // mirrors that attaching the scopes section publishes.
+        let mut tracer = Tracer::flight_recorder();
+        let report = SimBuilder::new(toy(3, false)).scopes(ScopeConfig::default()).tracer(&mut tracer).run();
+        report.validate().expect("scoped report holds its conservation identities");
+        assert!(report.resources.counter("hot.keys_tracked").is_some());
+        tracer.cross_validate(&report).expect("trace matches the scoped report");
     }
 
     #[test]

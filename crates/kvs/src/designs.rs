@@ -122,13 +122,12 @@ impl KvsParams {
         DriverConfig::new(self.clients, self.requests).with_window(self.window)
     }
 
+    /// The store every design serves: key `k` holds `value_bytes` copies
+    /// of its low byte.
     fn loaded_store(&self) -> KvStore {
         let mut store = KvStore::new(KvConfig::for_pairs(self.pairs as usize, self.value_bytes as usize));
-        let mut value = vec![0u8; self.value_bytes as usize];
-        for key in 0..self.pairs {
-            value.fill((key & 0xFF) as u8);
-            store.put_slice(key, &value);
-        }
+        let values: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b; self.value_bytes as usize]).collect();
+        store.bulk_load((0..self.pairs).map(|key| (key, values[(key & 0xFF) as usize].as_slice())));
         store
     }
 

@@ -8,14 +8,16 @@ use rambda_kvs::store::{KvConfig, KvStore};
 #[derive(Debug, Clone)]
 enum Op {
     Get(u64),
-    Put(u64, u8),
+    Put(u64, Vec<u8>),
     Remove(u64),
 }
 
+/// Values of 0–24 B, so updates shrink in place and grow by appending,
+/// and freed value indices are reused by longer values.
 fn op_strategy(keys: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..keys).prop_map(Op::Get),
-        (0..keys, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
+        (0..keys, proptest::collection::vec(any::<u8>(), 0..25)).prop_map(|(k, v)| Op::Put(k, v)),
         (0..keys).prop_map(Op::Remove),
     ]
 }
@@ -34,8 +36,7 @@ proptest! {
                     prop_assert_eq!(got.map(<[u8]>::to_vec), model.get(&k).cloned());
                     prop_assert_eq!(trace.hit, model.contains_key(&k));
                 }
-                Op::Put(k, b) => {
-                    let v = vec![b; 8];
+                Op::Put(k, v) => {
                     let trace = store.put(k, v.clone());
                     prop_assert_eq!(trace.hit, model.contains_key(&k));
                     model.insert(k, v);
