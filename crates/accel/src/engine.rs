@@ -1,6 +1,6 @@
 //! The accelerator engine: shared infrastructure blocks and their timing.
 
-use rambda_coherence::{CcConfig, CcInterconnect, CpollChecker, Notifier};
+use rambda_coherence::{CcConfig, CcInterconnect, Notifier};
 use rambda_des::{Server, SimRng, SimTime, Span, Throttle};
 use rambda_mem::{AccessKind, MemKind, MemReq, MemorySystem};
 use rambda_metrics::MetricSet;
@@ -107,7 +107,6 @@ pub struct AccelStats {
 pub struct AccelEngine {
     cfg: AccelConfig,
     cc: CcInterconnect,
-    cpoll: CpollChecker,
     slots: Server,
     local_issue: Throttle,
     stats: AccelStats,
@@ -122,7 +121,6 @@ impl AccelEngine {
         };
         AccelEngine {
             cc: CcInterconnect::new(cfg.cc.clone()),
-            cpoll: CpollChecker::new(cfg.cc.local_cache_bytes),
             slots: Server::new(cfg.outstanding),
             local_issue: Throttle::new(local_gap),
             cfg,
@@ -138,11 +136,6 @@ impl AccelEngine {
     /// Counters.
     pub fn stats(&self) -> &AccelStats {
         &self.stats
-    }
-
-    /// The cpoll checker (region registration happens at init time).
-    pub fn cpoll_mut(&mut self) -> &mut CpollChecker {
-        &mut self.cpoll
     }
 
     /// The cc-interconnect (for bandwidth inspection).

@@ -29,7 +29,7 @@ use rambda_metrics::Json;
 
 const USAGE: &str = "\
 Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-             [--profile] [--scopes] [--list]
+             [--profile] [--list]
 
   --quick          CI-sized runs (the committed baselines are quick-mode)
   --sweep NAME     run only the named sweep (repeatable; default: all)
@@ -37,8 +37,6 @@ Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
   --compare PATH   baseline dir or file to gate against; regressions exit 1
   --profile        run each point under the deterministic profiler; sweep
                    JSON and tables gain an event-core dispatch row
-  --scopes         run each point under the scoped-metrics registry; sweep
-                   JSON and tables gain a hottest-scope request-share column
   --list           print the defined sweep names and exit
 ";
 
@@ -48,7 +46,6 @@ struct Args {
     out: PathBuf,
     compare: Option<PathBuf>,
     profile: bool,
-    scopes: bool,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
@@ -58,14 +55,12 @@ fn parse_args() -> Result<Option<Args>, String> {
         out: PathBuf::from("bench/out"),
         compare: None,
         profile: false,
-        scopes: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
             "--profile" => args.profile = true,
-            "--scopes" => args.scopes = true,
             "--sweep" => {
                 let name = it.next().ok_or("--sweep requires a name")?;
                 if !sweep_names().contains(&name.as_str()) {
@@ -128,7 +123,7 @@ fn main() -> ExitCode {
     let mut profile = Json::obj();
     for sweep in &args.sweeps {
         let started = Instant::now();
-        let result = match run_sweep(sweep, args.quick, args.profile, args.scopes) {
+        let result = match run_sweep(sweep, args.quick, args.profile) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: sweep {sweep}: {e}");

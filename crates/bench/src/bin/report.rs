@@ -17,20 +17,12 @@
 //! section included; deterministic) plus a shared `host.folded`
 //! (wall-clock flamegraph input, non-deterministic).
 //!
-//! With `--scopes <name|all>` it runs the selected quick-mode runner(s)
-//! under the scoped-metrics registry (DESIGN.md §15) and prints each
-//! runner's per-scope latency table, hot-key sketch, and SLO digest. With
-//! `--scopes-out <dir>` it additionally writes `<name>.scopes.json` (the
-//! full scoped run report, byte-identical across same-seed runs) and
-//! `<name>.unscoped.json` (the same run without scopes — byte-identical
-//! to the committed goldens for the golden-pinned runners).
-//!
 //! With `--loss <rate>` a seeded lossy fault plan is injected into the
 //! fabric. In headline mode this prints a clean-vs-lossy comparison of the
 //! KVS Rambda design (recovery counters, tail cost); in trace mode the
 //! traced runner(s) execute under the lossy plan and the fault/retransmit
-//! events land in the exported artifacts. The profile and scoped modes take
-//! no fault plan, so `--loss` there is rejected.
+//! events land in the exported artifacts. The profile mode takes no fault
+//! plan, so `--loss` there is rejected.
 
 use std::fs;
 use std::process::exit;
@@ -43,7 +35,7 @@ use rambda_bench::Table;
 use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
-use rambda_metrics::{Json, RunReport, ScopeConfig};
+use rambda_metrics::{Json, RunReport};
 use rambda_power::{kop_per_watt, Design as PowerDesign, PowerConfig};
 use rambda_trace::{HostProf, Tracer};
 use rambda_txn::{TxnDesigns, TxnParams};
@@ -56,15 +48,13 @@ const FAULT_SEED: u64 = 0xFA17;
 fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
     eprintln!("              [--profile <dir>] [--profile-runner <name|all>]");
-    eprintln!("              [--scopes <name|all>] [--scopes-out <dir>]");
     eprintln!("runners: {}", RUNNER_NAMES.join(", "));
     exit(2);
 }
 
-/// Fail-fast runner-name validation shared by `--trace-runner`,
-/// `--profile-runner` and `--scopes`: rejects an unknown name with the
-/// valid-runner listing before any runner executes or any output directory
-/// is created.
+/// Fail-fast runner-name validation shared by `--trace-runner` and
+/// `--profile-runner`: rejects an unknown name with the valid-runner
+/// listing before any runner executes or any output directory is created.
 fn check_runner(flag: &str, name: &str) {
     if let Err(e) = rambda::designs::check_runner(name) {
         eprintln!("{e} (for {flag})");
@@ -80,8 +70,6 @@ fn main() {
     let mut profile_dir: Option<String> = None;
     let mut profile_runner = "kvs.rambda".to_string();
     let mut profile_flags_seen = false;
-    let mut scopes_runner: Option<String> = None;
-    let mut scopes_out: Option<String> = None;
     let mut worst = 10usize;
     let mut loss: Option<f64> = None;
     let mut i = 0;
@@ -111,14 +99,6 @@ fn main() {
                 profile_flags_seen = true;
                 i += 2;
             }
-            "--scopes" => {
-                scopes_runner = Some(value(i));
-                i += 2;
-            }
-            "--scopes-out" => {
-                scopes_out = Some(value(i));
-                i += 2;
-            }
             "--loss" => {
                 let rate: f64 = value(i).parse().unwrap_or_else(|_| usage());
                 if !(0.0..=1.0).contains(&rate) {
@@ -135,9 +115,6 @@ fn main() {
     // or any output directory is created.
     check_runner("--trace-runner", &runner);
     check_runner("--profile-runner", &profile_runner);
-    if let Some(name) = &scopes_runner {
-        check_runner("--scopes", name);
-    }
     if trace_flags_seen && trace_dir.is_none() {
         eprintln!("--trace-runner/--worst have no effect without --trace <dir> (or RAMBDA_TRACE=<dir>)");
         exit(2);
@@ -146,19 +123,12 @@ fn main() {
         eprintln!("--profile-runner has no effect without --profile <dir>");
         exit(2);
     }
-    if scopes_out.is_some() && scopes_runner.is_none() {
-        eprintln!("--scopes-out has no effect without --scopes <name|all>");
+    if trace_dir.is_some() && profile_dir.is_some() {
+        eprintln!("--trace and --profile are mutually exclusive — pick one export mode");
         exit(2);
     }
-    let modes = [scopes_runner.is_some(), trace_dir.is_some(), profile_dir.is_some()];
-    if modes.iter().filter(|&&m| m).count() > 1 {
-        eprintln!("--trace, --profile, and --scopes are mutually exclusive — pick one export mode");
-        exit(2);
-    }
-    if loss.is_some() && (profile_dir.is_some() || scopes_runner.is_some()) {
-        eprintln!(
-            "--loss has no effect with --profile or --scopes (it applies to the headline run and --trace)"
-        );
+    if loss.is_some() && profile_dir.is_some() {
+        eprintln!("--loss has no effect with --profile (it applies to the headline run and --trace)");
         exit(2);
     }
 
@@ -171,10 +141,6 @@ fn main() {
     }
     if let Some(dir) = profile_dir {
         profile_exports(&tb, &dir, &profile_runner);
-        return;
-    }
-    if let Some(name) = scopes_runner {
-        scopes_exports(&tb, &name, scopes_out.as_deref());
         return;
     }
     if faults.is_active() {
@@ -268,7 +234,6 @@ fn main() {
     println!("\nFull tables: cargo bench -p rambda-bench");
     println!("Machine-readable run reports: RunReport::to_json_string() (see tests/goldens/)");
     println!("Flight-recorder traces: report --trace <dir> [--trace-runner <name|all>]");
-    println!("Scoped metrics & SLOs: report --scopes <name|all> [--scopes-out <dir>]");
 }
 
 /// Builds the quick-mode [`Design`] for a named runner from the shared
@@ -429,93 +394,6 @@ fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     }
     fs::write(format!("{dir}/host.folded"), prof.export_folded()).expect("write folded stacks");
     println!("Wall-clock attribution (non-deterministic): {dir}/host.folded");
-}
-
-/// The scoped-run configuration for a named runner: the default sketch
-/// capacity, with a per-design p99 SLO target sized to each workload's
-/// quick-mode latency regime (the microbenchmark completes in a few µs,
-/// the replicated transactions in tens).
-fn scope_config_for(name: &str) -> ScopeConfig {
-    let slo_p99_ps = match name.split('.').next() {
-        Some("micro") => 10_000_000, // 10 us
-        Some("kvs") => 25_000_000,   // 25 us
-        Some("txn") => 100_000_000,  // 100 us
-        _ => 150_000_000,            // 150 us (DLRM reductions are heavy)
-    };
-    ScopeConfig { slo_p99_ps, ..ScopeConfig::default() }
-}
-
-/// Runs the selected runner(s) under the scoped-metrics registry, checks
-/// the scope conservation identities and same-seed byte-determinism, and
-/// prints each runner's per-scope latency table, hot-key sketch, and SLO
-/// digest. With an output directory it also writes `<name>.scopes.json`
-/// (the scoped report) and `<name>.unscoped.json` (the same run without
-/// scopes — byte-identical to the committed goldens for the golden-pinned
-/// runners).
-fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>) {
-    if let Some(dir) = out {
-        fs::create_dir_all(dir).expect("create scopes output dir");
-    }
-    let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
-    for name in names {
-        let config = scope_config_for(name);
-        let scoped = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
-        scoped.validate().expect("inconsistent scoped run report");
-        let again = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
-        if scoped.to_json_string() != again.to_json_string() {
-            eprintln!("{name}: same-seed scoped runs serialized differently");
-            exit(1);
-        }
-        let sc = scoped.scopes.as_ref().expect("scoped run must carry a scopes section");
-
-        let mut t = Table::new(
-            &format!(
-                "{name} — scoped metrics ({} scopes, hot fraction {:.3}, SLO p99 {:.0} us)",
-                sc.scopes.len(),
-                sc.hot_fraction(),
-                config.slo_p99_ps as f64 / 1.0e6,
-            ),
-            &["scope", "requests", "mean us", "p99 us", "share"],
-        );
-        for s in sc.scopes.iter().filter(|s| s.latency.count > 0) {
-            t.row(vec![
-                s.name.clone(),
-                s.latency.count.to_string(),
-                format!("{:.2}", s.latency.mean_ps as f64 / 1.0e6),
-                format!("{:.2}", s.latency.p99_ps as f64 / 1.0e6),
-                format!("{:.3}", s.latency.count as f64 / sc.merged.count.max(1) as f64),
-            ]);
-        }
-        t.print();
-
-        let keys: Vec<String> = sc
-            .hot_keys
-            .iter()
-            .map(|e| {
-                if e.err == 0 {
-                    format!("{}:{}", e.key, e.count)
-                } else {
-                    format!("{}:{}±{}", e.key, e.count, e.err)
-                }
-            })
-            .collect();
-        println!("{name}: hot keys (top-{}, {} observed): {}", sc.top_k, sc.keys_observed, keys.join(" "));
-        println!(
-            "{name}: slo windows={} violations={} burn_rate={:.3}",
-            sc.slo.windows, sc.slo.violations, sc.slo.burn_rate
-        );
-        println!("{name}: scope conservation identities validated (RunReport::validate)");
-
-        if let Some(dir) = out {
-            let unscoped = SimBuilder::new(design_for(name)).config(tb).run();
-            unscoped.validate().expect("inconsistent unscoped run report");
-            fs::write(format!("{dir}/{name}.scopes.json"), scoped.to_json_string())
-                .expect("write scoped report");
-            fs::write(format!("{dir}/{name}.unscoped.json"), unscoped.to_json_string())
-                .expect("write unscoped report");
-            println!("{name}: reports -> {dir}/{name}.scopes.json (+ .unscoped.json)");
-        }
-    }
 }
 
 /// Renders a run report's critical-path stage breakdown as a table.

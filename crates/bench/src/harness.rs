@@ -20,7 +20,7 @@
 use rambda::{micro, Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_fabric::FaultConfig;
-use rambda_metrics::{Json, RunReport, ScopeConfig};
+use rambda_metrics::{Json, RunReport};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
 use crate::Table;
@@ -102,11 +102,6 @@ pub struct BenchPoint {
     /// when `None`, so baselines written before the profiler existed stay
     /// byte-identical.
     pub events_dispatched: Option<u64>,
-    /// Hottest scope's share of the run's recorded requests, from the
-    /// scoped-metrics registry (DESIGN.md §15); `None` unless the sweep
-    /// ran with `--scopes`. Omitted from the JSON when `None`, so
-    /// baselines written before scoped metrics existed stay byte-identical.
-    pub hot_fraction: Option<f64>,
 }
 
 impl BenchPoint {
@@ -135,7 +130,6 @@ impl BenchPoint {
             peak_window_p99_ps: tl.peak_p99_ps(),
             peak_utilization: tl.peak_utilization(),
             events_dispatched: None,
-            hot_fraction: None,
         })
     }
 
@@ -156,9 +150,6 @@ impl BenchPoint {
         o.push("peak_utilization", Json::F64(self.peak_utilization));
         if let Some(dispatched) = self.events_dispatched {
             o.push("events_dispatched", Json::U64(dispatched));
-        }
-        if let Some(hot) = self.hot_fraction {
-            o.push("hot_fraction", Json::F64(hot));
         }
         o
     }
@@ -182,24 +173,16 @@ impl BenchPoint {
                 Some(Json::U64(v)) => Some(*v),
                 _ => None,
             },
-            hot_fraction: match j.get("hot_fraction") {
-                Some(Json::F64(v)) => Some(*v),
-                Some(Json::U64(v)) => Some(*v as f64),
-                _ => None,
-            },
         })
     }
 }
 
-/// Runs one sweep point, optionally under the deterministic profiler
-/// and/or the scoped-metrics registry.
+/// Runs one sweep point, optionally under the deterministic profiler.
 ///
 /// With `profile` set, the run carries the builder's `profile()` telemetry
-/// and the point records the event core's dispatch count. With `scopes`
-/// set, the run attributes requests to per-entity metric scopes and the
-/// point records the hottest scope's request share. Both only observe —
-/// they never perturb the simulated events — so the headline numbers are
-/// identical either way.
+/// and the point records the event core's dispatch count. Profiling only
+/// observes — it never perturbs the simulated events — so the headline
+/// numbers are identical either way.
 fn run_point(
     design: Design,
     name: &str,
@@ -207,7 +190,6 @@ fn run_point(
     tb: &Testbed,
     faults: Option<FaultConfig>,
     profile: bool,
-    scopes: bool,
 ) -> Result<BenchPoint, String> {
     let mut builder = SimBuilder::new(design).config(tb);
     if let Some(f) = faults {
@@ -216,13 +198,9 @@ fn run_point(
     if profile {
         builder = builder.profile();
     }
-    if scopes {
-        builder = builder.scopes(ScopeConfig::default());
-    }
     let report = builder.run();
     let mut point = BenchPoint::from_report(name, x, &report)?;
     point.events_dispatched = report.event_core.as_ref().map(|ec| ec.dispatched);
-    point.hot_fraction = report.scopes.as_ref().map(|sc| sc.hot_fraction());
     Ok(point)
 }
 
@@ -284,17 +262,12 @@ impl SweepResult {
 
     /// Renders the sweep as an ASCII table with a per-run throughput
     /// sparkline (completions per timeline window). Profiled sweeps gain
-    /// an event-dispatch column; scoped sweeps gain a hottest-scope
-    /// request-share column.
+    /// an event-dispatch column.
     pub fn render_table(&self) -> String {
         let profiled = self.points.iter().any(|p| p.events_dispatched.is_some());
-        let scoped = self.points.iter().any(|p| p.hot_fraction.is_some());
         let mut headers = vec!["design", "x", "Mops", "p50 us", "p99 us", "peak util"];
         if profiled {
             headers.push("events");
-        }
-        if scoped {
-            headers.push("hot frac");
         }
         headers.push("throughput/window");
         let mut t = Table::new(&format!("{} [{}]", self.sweep, self.mode), &headers);
@@ -309,9 +282,6 @@ impl SweepResult {
             ];
             if profiled {
                 cells.push(p.events_dispatched.map_or_else(|| "-".to_string(), |n| n.to_string()));
-            }
-            if scoped {
-                cells.push(p.hot_fraction.map_or_else(|| "-".to_string(), |h| format!("{h:.3}")));
             }
             cells.push(sparkline(&p.window_completed));
             t.row(cells);
@@ -392,22 +362,20 @@ pub fn is_gating(name: &str) -> bool {
 
 /// Runs one sweep end to end. With `profile` set, every point also runs
 /// the deterministic profiler (an event-core row in the sweep JSON and
-/// table). With `scopes` set, every point runs under
-/// the scoped-metrics registry and records its hottest scope's request
-/// share.
+/// table).
 ///
 /// # Errors
 ///
 /// Returns an unknown-sweep message (listing valid names), or the first
 /// report that failed its telemetry validation.
-pub fn run_sweep(name: &str, quick: bool, profile: bool, scopes: bool) -> Result<SweepResult, String> {
+pub fn run_sweep(name: &str, quick: bool, profile: bool) -> Result<SweepResult, String> {
     let mode = if quick { "quick" } else { "full" };
     let points = match name {
-        "micro_designs" => micro_designs(quick, profile, scopes)?,
-        "kvs_load" => kvs_load(quick, profile, scopes)?,
-        "txn_latency" => txn_latency(quick, profile, scopes)?,
-        "dlrm_load" => dlrm_load(quick, profile, scopes)?,
-        "faults_sweep" => faults_sweep(quick, profile, scopes)?,
+        "micro_designs" => micro_designs(quick, profile)?,
+        "kvs_load" => kvs_load(quick, profile)?,
+        "txn_latency" => txn_latency(quick, profile)?,
+        "dlrm_load" => dlrm_load(quick, profile)?,
+        "faults_sweep" => faults_sweep(quick, profile)?,
         other => return Err(format!("unknown sweep `{other}` — valid sweeps: {}", sweep_names().join(", "))),
     };
     let tolerance = Tolerance { max_throughput_drop: 0.05, max_p99_rise: 0.10 };
@@ -416,7 +384,7 @@ pub fn run_sweep(name: &str, quick: bool, profile: bool, scopes: bool) -> Result
 
 /// Fig. 7-style design comparison: CPU core scaling vs. the Rambda
 /// variants on the pointer-chase microbenchmark.
-fn micro_designs(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
+fn micro_designs(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     let tb = Testbed::default();
     let p = if quick {
         micro::MicroParams { requests: 6_000, ..micro::MicroParams::quick() }
@@ -432,7 +400,6 @@ fn micro_designs(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPo
             &tb,
             None,
             profile,
-            scopes,
         )?);
     }
     let variants: [(&str, DataLocation, bool); 4] = [
@@ -449,14 +416,13 @@ fn micro_designs(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPo
             &tb,
             None,
             profile,
-            scopes,
         )?);
     }
     Ok(points)
 }
 
 /// Fig. 9-style KVS offered-load sweep: per-client pipeline window × design.
-fn kvs_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
+fn kvs_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     let tb = Testbed::default();
     let base = if quick { KvsParams { requests: 8_000, ..KvsParams::quick() } } else { KvsParams::paper() };
@@ -464,7 +430,7 @@ fn kvs_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>,
     for window in [1usize, 4, 16] {
         let p = KvsParams { window, ..base.clone() };
         let x = format!("window={window}");
-        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None, profile, scopes)?);
+        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None, profile)?);
         points.push(run_point(
             Design::kvs_rambda(p.clone(), DataLocation::HostDram),
             "rambda",
@@ -472,16 +438,15 @@ fn kvs_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>,
             &tb,
             None,
             profile,
-            scopes,
         )?);
-        points.push(run_point(Design::kvs_smartnic(p.clone()), "smartnic", &x, &tb, None, profile, scopes)?);
+        points.push(run_point(Design::kvs_smartnic(p.clone()), "smartnic", &x, &tb, None, profile)?);
     }
     Ok(points)
 }
 
 /// Fig. 12-style replicated-transaction comparison: HyperLoop chain vs.
 /// Rambda-Tx, for write-only and read-write transactions.
-fn txn_latency(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
+fn txn_latency(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
     let specs: [(&str, TxnSpec); 2] =
@@ -490,14 +455,14 @@ fn txn_latency(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoin
     for (x, spec) in specs {
         let p =
             if quick { TxnParams { txns: 1_500, ..TxnParams::quick(spec) } } else { TxnParams::paper(spec) };
-        points.push(run_point(Design::txn_hyperloop(p.clone()), "hyperloop", x, &tb, None, profile, scopes)?);
-        points.push(run_point(Design::txn_rambda_tx(p.clone()), "rambda_tx", x, &tb, None, profile, scopes)?);
+        points.push(run_point(Design::txn_hyperloop(p.clone()), "hyperloop", x, &tb, None, profile)?);
+        points.push(run_point(Design::txn_rambda_tx(p.clone()), "rambda_tx", x, &tb, None, profile)?);
     }
     Ok(points)
 }
 
 /// Fig. 13-style DLRM serving comparison on the Books embedding profile.
-fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
+fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_dlrm::{DlrmDesigns, DlrmParams};
     let tb = Testbed::default();
     let embeddings = DlrmProfile::by_name("Books").ok_or("Books DLRM profile missing")?;
@@ -515,7 +480,6 @@ fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>
             &tb,
             None,
             profile,
-            scopes,
         )?);
     }
     points.push(run_point(
@@ -525,7 +489,6 @@ fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>
         &tb,
         None,
         profile,
-        scopes,
     )?);
     points.push(run_point(
         Design::dlrm_rambda(p.clone(), DataLocation::LocalHbm),
@@ -534,7 +497,6 @@ fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>
         &tb,
         None,
         profile,
-        scopes,
     )?);
     Ok(points)
 }
@@ -543,7 +505,7 @@ fn dlrm_load(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>
 /// Rambda designs under increasing injected packet loss. The zero-loss point
 /// anchors each curve; the lossy points show the recovery layer's cost
 /// (retransmissions push the tail up while throughput barely moves).
-fn faults_sweep(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoint>, String> {
+fn faults_sweep(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
@@ -559,7 +521,6 @@ fn faults_sweep(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoi
             &tb,
             Some(FaultConfig::lossy(0xFA17, loss)),
             profile,
-            scopes,
         )?);
         points.push(run_point(
             Design::txn_rambda_tx(xp.clone()),
@@ -568,7 +529,6 @@ fn faults_sweep(quick: bool, profile: bool, scopes: bool) -> Result<Vec<BenchPoi
             &tb,
             Some(FaultConfig::lossy(0xFA17, loss)),
             profile,
-            scopes,
         )?);
     }
     Ok(points)
@@ -633,7 +593,6 @@ mod tests {
                 peak_window_p99_ps: 10_000_000,
                 peak_utilization: 0.85,
                 events_dispatched: None,
-                hot_fraction: None,
             }],
         }
     }
@@ -690,7 +649,7 @@ mod tests {
 
     #[test]
     fn unknown_sweep_lists_valid_names() {
-        let err = run_sweep("nope", true, false, false).unwrap_err();
+        let err = run_sweep("nope", true, false).unwrap_err();
         for name in sweep_names() {
             assert!(err.contains(name), "{err}");
         }
@@ -716,29 +675,6 @@ mod tests {
         assert!(table.contains("30000"), "{table}");
         // An unprofiled sweep keeps the original table shape.
         assert!(!tiny_sweep().render_table().contains("events"), "no profile column");
-    }
-
-    #[test]
-    fn scope_fields_are_optional_and_round_trip() {
-        // A point without scope data serializes without the key, so
-        // baselines written before scoped metrics existed stay
-        // byte-identical and still parse.
-        let bare = tiny_sweep().to_json_string();
-        assert!(!bare.contains("hot_fraction"), "{bare}");
-        let parsed = SweepResult::from_json_str(&bare).expect("parses");
-        assert_eq!(parsed.points[0].hot_fraction, None);
-
-        let mut scoped = tiny_sweep();
-        scoped.points[0].hot_fraction = Some(0.375);
-        let text = scoped.to_json_string();
-        let back = SweepResult::from_json_str(&text).expect("parses");
-        assert_eq!(back, scoped);
-        assert_eq!(back.to_json_string(), text);
-        let table = scoped.render_table();
-        assert!(table.contains("hot frac"), "{table}");
-        assert!(table.contains("0.375"), "{table}");
-        // An unscoped sweep keeps the original table shape.
-        assert!(!tiny_sweep().render_table().contains("hot frac"), "no scope column");
     }
 
     #[test]

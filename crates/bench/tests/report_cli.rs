@@ -1,7 +1,6 @@
-//! CLI contract of the `report` binary's export modes (DESIGN.md §15):
+//! CLI contract of the `report` binary's export modes (DESIGN.md §14.3):
 //! bad selections and pointless flag combinations fail fast — before any
-//! simulation runs or output directory is created — mirroring the existing
-//! `--trace-runner`/`--profile-runner` validation.
+//! simulation runs or output directory is created.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -11,72 +10,42 @@ fn report(args: &[&str]) -> Output {
 }
 
 #[test]
-fn unknown_scopes_runner_fails_fast_with_listing() {
-    let out = report(&["--scopes", "nope"]);
-    assert_eq!(out.status.code(), Some(2), "bad runner must exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--scopes"), "{err}");
-    // The shared check prints every valid runner, so the user can fix the
-    // invocation without reading the source.
-    for runner in ["micro.cpu", "kvs.rambda", "txn.rambda_tx", "dlrm.rambda"] {
-        assert!(err.contains(runner), "listing missing {runner}: {err}");
-    }
-}
-
-#[test]
-fn stray_scopes_out_without_scopes_fails_fast() {
-    let dir = format!("{}/stray-scopes-out", env!("CARGO_TARGET_TMPDIR"));
-    let out = report(&["--scopes-out", &dir]);
-    assert_eq!(out.status.code(), Some(2), "stray --scopes-out must exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--scopes-out has no effect without --scopes"), "{err}");
-    assert!(!Path::new(&dir).exists(), "fail-fast must not create the output dir");
-}
-
-#[test]
-fn scopes_combined_with_trace_or_profile_fails_fast() {
-    let dir = format!("{}/scopes-vs-trace", env!("CARGO_TARGET_TMPDIR"));
-    for other in ["--trace", "--profile"] {
-        let out = report(&["--scopes", "kvs.rambda", other, &dir]);
-        assert_eq!(out.status.code(), Some(2), "{other} + --scopes must exit 2");
+fn unknown_runner_fails_fast_with_listing() {
+    let dir = format!("{}/unknown-runner", env!("CARGO_TARGET_TMPDIR"));
+    for (mode, flag) in [("--trace", "--trace-runner"), ("--profile", "--profile-runner")] {
+        let out = report(&[mode, &dir, flag, "nope"]);
+        assert_eq!(out.status.code(), Some(2), "bad {flag} must exit 2");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("mutually exclusive"), "{err}");
-        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {other} dir");
+        assert!(err.contains(flag), "{err}");
+        // The shared check prints every valid runner, so the user can fix
+        // the invocation without reading the source.
+        for runner in ["micro.cpu", "kvs.rambda", "txn.rambda_tx", "dlrm.rambda"] {
+            assert!(err.contains(runner), "listing missing {runner}: {err}");
+        }
+        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {mode} dir");
     }
+}
+
+#[test]
+fn trace_combined_with_profile_fails_fast() {
+    let trace = format!("{}/trace-vs-profile.trace", env!("CARGO_TARGET_TMPDIR"));
+    let profile = format!("{}/trace-vs-profile.profile", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--trace", &trace, "--profile", &profile]);
+    assert_eq!(out.status.code(), Some(2), "--trace + --profile must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("mutually exclusive"), "{err}");
+    assert!(!Path::new(&trace).exists(), "fail-fast must not create the --trace dir");
+    assert!(!Path::new(&profile).exists(), "fail-fast must not create the --profile dir");
 }
 
 #[test]
 fn loss_outside_the_headline_and_trace_modes_fails_fast() {
     // Only the headline comparison and --trace take the fault plan; a
-    // scoped or profiled run would silently ignore it.
+    // profiled run would silently ignore it.
     let dir = format!("{}/loss-ignored", env!("CARGO_TARGET_TMPDIR"));
-    for mode in [
-        ["--scopes", "kvs.rambda", "--scopes-out", &dir],
-        ["--profile", &dir, "--profile-runner", "kvs.rambda"],
-    ] {
-        let mut args = mode.to_vec();
-        args.extend(["--loss", "0.5"]);
-        let out = report(&args);
-        assert_eq!(out.status.code(), Some(2), "{} with --loss must exit 2", mode[0]);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--loss has no effect"), "{err}");
-        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {} dir", mode[0]);
-    }
-}
-
-#[test]
-fn scoped_export_writes_both_artifacts_and_validates() {
-    let dir = format!("{}/scopes-ok", env!("CARGO_TARGET_TMPDIR"));
-    let out = report(&["--scopes", "micro.rambda", "--scopes-out", &dir]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("scope conservation identities validated"), "{stdout}");
-    assert!(stdout.contains("hot keys"), "{stdout}");
-    assert!(stdout.contains("slo windows="), "{stdout}");
-
-    let scoped = std::fs::read_to_string(format!("{dir}/micro.rambda.scopes.json")).expect("scoped json");
-    assert!(scoped.contains("\"scopes\""), "scoped report must carry the scopes section");
-    let unscoped =
-        std::fs::read_to_string(format!("{dir}/micro.rambda.unscoped.json")).expect("unscoped json");
-    assert!(!unscoped.contains("\"scopes\""), "unscoped report must omit the scopes section");
+    let out = report(&["--profile", &dir, "--profile-runner", "kvs.rambda", "--loss", "0.5"]);
+    assert_eq!(out.status.code(), Some(2), "--profile with --loss must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--loss has no effect"), "{err}");
+    assert!(!Path::new(&dir).exists(), "fail-fast must not create the --profile dir");
 }

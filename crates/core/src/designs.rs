@@ -1,9 +1,9 @@
 //! The canonical runner-name registry.
 //!
-//! Every surface that accepts a runner name — `report --trace-runner`,
-//! `--profile-runner`, `--scopes`, the bench sweeps, and the differential
-//! test suites — must agree on the same nine names. This module is the one
-//! place that list lives. The application crates (`rambda-kvs`, `rambda-txn`,
+//! Every surface that accepts a runner name — `report --trace-runner` and
+//! `--profile-runner`, the bench sweeps, and the differential test suites —
+//! must agree on the same nine names. This module is the one place that
+//! list lives. The application crates (`rambda-kvs`, `rambda-txn`,
 //! `rambda-dlrm`) depend on this crate, so the framework cannot construct
 //! their [`Design`]s itself; instead a [`Registry`] maps each name to an
 //! installed factory, and `rambda_bench::quick_registry()` installs the nine
@@ -98,7 +98,7 @@ mod tests {
 
     /// A design named `name` that serves each request instantly.
     fn stub(name: &'static str) -> Design {
-        Design::new(name, 1, DriverConfig::new(1, 1), ("conn", 1), |_| {
+        Design::new(name, 1, DriverConfig::new(1, 1), |_| {
             (Idle, |_: &mut Idle, _, at, _: &mut Req<'_>| Ok(at))
         })
     }

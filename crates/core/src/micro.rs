@@ -26,10 +26,6 @@ const SPIN_POLL_TAX: f64 = 1.22;
 /// (75 ns) polling interval.
 const SPIN_POLL_DELAY: Span = Span::from_ps(37_500);
 
-/// Scoped runs bucket the feeding connections into this many scope groups
-/// (fewer when the run has fewer connections).
-const MICRO_SCOPE_GROUPS: usize = 4;
-
 impl Testbed {
     /// Builds an accelerator configuration for this testbed.
     ///
@@ -95,20 +91,6 @@ impl MicroParams {
         }
     }
 
-    /// The connection groups a scoped run attributes requests to:
-    /// connections bucket into at most [`MICRO_SCOPE_GROUPS`] groups
-    /// (`conn/0` .. `conn/3` at the paper's 16 connections).
-    fn scopes(&self) -> (&'static str, usize) {
-        ("conn", self.connections.min(MICRO_SCOPE_GROUPS))
-    }
-
-    /// Attributes the request from connection `c` to its connection group
-    /// and feeds the connection into the hot-key sketch.
-    fn tag(&self, c: usize, req: &mut Req<'_>) {
-        req.scope(c * self.connections.min(MICRO_SCOPE_GROUPS) / self.connections.max(1));
-        req.key(c as u64);
-    }
-
     /// Bytes persisted per request (NVM variant only).
     fn record_bytes(&self) -> u64 {
         if self.nvm {
@@ -124,14 +106,13 @@ impl Design {
     /// `batch`. Single-machine (shared-memory rings, no network), so the
     /// builder's fault plan does not apply.
     pub fn micro_cpu(params: MicroParams, cores: usize, batch: usize) -> Design {
-        Design::new("micro.cpu", 0, params.driver(), params.scopes(), move |tb| {
+        Design::new("micro.cpu", 0, params.driver(), move |tb| {
             let machines = MicroCpu {
                 cpu: CpuServer::new(tb.cpu.clone(), cores, batch),
                 mem: MemorySystem::new(tb.mem.clone(), true),
             };
             let (kind, record) = (params.kind(), params.record_bytes());
-            (machines, move |m: &mut MicroCpu, c, at, req: &mut Req<'_>| {
-                params.tag(c, req);
+            (machines, move |m: &mut MicroCpu, _, at, req: &mut Req<'_>| {
                 let done = m.cpu.serve_request(at, params.chase, record, kind, &mut m.mem);
                 req.leg("cpu_serve", done);
                 Ok(done)
@@ -202,15 +183,14 @@ fn rambda(
         (true, DataLocation::HostDram) => DataLocation::HostNvm,
         (_, l) => l,
     };
-    Design::new("micro.rambda", seed, params.driver(), params.scopes(), move |tb| {
+    Design::new("micro.rambda", seed, params.driver(), move |tb| {
         let machines = MicroRambda {
             engine: AccelEngine::new(tb.accel_config(location, cpoll)),
             mem: MemorySystem::new(tb.mem.clone(), !adaptive_ddio),
         };
         let mut rng = SimRng::seed(seed);
         let record = params.record_bytes();
-        (machines, move |m: &mut MicroRambda, c, at, req: &mut Req<'_>| {
-            params.tag(c, req);
+        (machines, move |m: &mut MicroRambda, _, at, req: &mut Req<'_>| {
             let MicroRambda { engine, mem } = m;
             // Request written into the ring at `at`; discovery via cpoll (or
             // the slower spin-poll cycle).

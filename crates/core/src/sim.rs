@@ -2,7 +2,7 @@
 //!
 //! Every design run goes through the builder: a [`Design`] names *what* to
 //! simulate, the builder configures *how* (testbed, fault plan, flight
-//! recorder, profiling, scoped metrics), and `run()` always yields a
+//! recorder, profiling), and `run()` always yields a
 //! validated-shape [`RunReport`].
 //!
 //! ```
@@ -23,8 +23,8 @@
 //! and returns them with the path one request takes through them. The run
 //! loop here owns the plumbing every design shares: it installs the fault
 //! plan on the machines' network, opens and closes each request's trace,
-//! sheds a request whose path fails, attributes each request to its scope,
-//! takes the periodic samples and publishes the final snapshot.
+//! sheds a request whose path fails, takes the periodic samples and
+//! publishes the final snapshot.
 //!
 //! Application designs (KVS, TXN, DLRM) register themselves through
 //! extension traits on [`Design`] in their own crates, so the builder's
@@ -40,7 +40,7 @@
 
 use rambda_des::SimTime;
 use rambda_fabric::{FaultConfig, Network};
-use rambda_metrics::{MetricSet, RunReport, ScopeConfig, ScopedMetrics, StageRecorder};
+use rambda_metrics::{MetricSet, RunReport, StageRecorder};
 use rambda_rnic::RdmaError;
 use rambda_trace::{ReqObs, Tracer};
 
@@ -57,38 +57,24 @@ pub trait Machines {
     fn publish(&self, sink: &mut MetricSet);
 
     /// The design's fabric, if it has one. The run loop installs the fault
-    /// plan on it, drains its fault log into the flight recorder and
-    /// publishes its per-link scopes under `net`. Single-machine designs
-    /// keep the default and ignore the fault plan.
+    /// plan on it and drains its fault log into the flight recorder.
+    /// Single-machine designs keep the default and ignore the fault plan.
     fn network(&mut self) -> Option<&mut Network> {
         None
     }
 }
 
 /// One request in flight, as its design's path sees it: cuts the request's
-/// stage legs and tags its scope and hot keys.
+/// stage legs.
 #[derive(Debug)]
 pub struct Req<'a> {
     obs: ReqObs<'a>,
-    scopes: &'a mut ScopedMetrics,
-    scope: usize,
 }
 
 impl Req<'_> {
     /// Ends the current leg at `now`, charging it to `stage`.
     pub fn leg(&mut self, stage: &'static str, now: SimTime) {
         self.obs.leg(stage, now);
-    }
-
-    /// Attributes the request to the design's scope `{prefix}/{index}`
-    /// (index 0 unless set). Shed requests keep their scope.
-    pub fn scope(&mut self, index: usize) {
-        self.scope = index;
-    }
-
-    /// Feeds `key` into the hot-key sketch.
-    pub fn key(&mut self, key: u64) {
-        self.scopes.observe_key(key);
     }
 }
 
@@ -98,7 +84,6 @@ struct Ctx<'a> {
     resources: &'a mut MetricSet,
     tracer: &'a mut Tracer,
     faults: &'a FaultConfig,
-    scopes: &'a mut ScopedMetrics,
 }
 
 /// The boxed run a [`Design`] carries.
@@ -117,10 +102,9 @@ pub struct Design {
 
 impl Design {
     /// Defines a design: its report name and seed, the closed-loop driver
-    /// that issues its requests, the `(prefix, count)` of the scopes a
-    /// scoped run attributes requests to (named `{prefix}/{index}`), and
-    /// `build`, which assembles the design's machines on the run's testbed
-    /// and returns them with its request path.
+    /// that issues its requests, and `build`, which assembles the design's
+    /// machines on the run's testbed and returns them with its request
+    /// path.
     ///
     /// The path serves one request issued by `client` at `at` and returns
     /// its completion time, cutting legs through the [`Req`]. An `Err`
@@ -131,7 +115,6 @@ impl Design {
         name: &'static str,
         seed: u64,
         driver: DriverConfig,
-        scopes: (&'static str, usize),
         build: impl FnOnce(&Testbed) -> (M, P) + 'static,
     ) -> Design
     where
@@ -140,7 +123,7 @@ impl Design {
     {
         let run = move |testbed: &Testbed, ctx: Ctx<'_>| {
             let (machines, path) = build(testbed);
-            serve(machines, path, &driver, scopes, ctx)
+            serve(machines, path, &driver, ctx)
         };
         Design { name, seed, run: Box::new(run) }
     }
@@ -164,28 +147,21 @@ impl std::fmt::Debug for Design {
 
 /// The run loop every design shares: drives `path` over `m` in a closed
 /// loop and leaves the final counters in `ctx.resources`; `SimBuilder::run`
-/// takes the final trace sample once the scopes section is attached.
-fn serve<M, P>(
-    mut m: M,
-    mut path: P,
-    driver: &DriverConfig,
-    (prefix, count): (&str, usize),
-    ctx: Ctx<'_>,
-) -> RunStats
+/// takes the final trace sample once the report is assembled.
+fn serve<M, P>(mut m: M, mut path: P, driver: &DriverConfig, ctx: Ctx<'_>) -> RunStats
 where
     M: Machines,
     P: FnMut(&mut M, usize, SimTime, &mut Req<'_>) -> Result<SimTime, RdmaError>,
 {
-    let Ctx { rec, resources, tracer, faults, scopes } = ctx;
+    let Ctx { rec, resources, tracer, faults } = ctx;
     if let Some(net) = m.network() {
         net.install_faults(faults);
     }
-    let scope_names: Vec<String> = (0..count).map(|i| format!("{prefix}/{i}")).collect();
     let stats = run_closed_loop(driver, |client, at| {
-        let mut req = Req { obs: tracer.observe(rec, at), scopes, scope: 0 };
+        let mut req = Req { obs: tracer.observe(rec, at) };
         let served = path(&mut m, client, at, &mut req);
-        let Req { mut obs, scope, .. } = req;
-        let done = match served {
+        let mut obs = req.obs;
+        match served {
             Ok(done) => {
                 obs.finish(done);
                 tracer.sample_with(rec, at, |s| m.publish(s));
@@ -196,9 +172,7 @@ where
                 obs.finish(e.at());
                 e.at()
             }
-        };
-        scopes.record(&scope_names[scope], at, done);
-        done
+        }
     });
     if let Some(net) = m.network() {
         for ev in net.drain_fault_events() {
@@ -206,9 +180,6 @@ where
         }
     }
     m.publish(resources);
-    if let Some(net) = m.network() {
-        net.publish_scoped(scopes, "net");
-    }
     stats
 }
 
@@ -220,7 +191,6 @@ pub struct SimBuilder<'a> {
     faults: FaultConfig,
     tracer: Option<&'a mut Tracer>,
     profile: bool,
-    scopes: Option<ScopeConfig>,
 }
 
 impl<'a> SimBuilder<'a> {
@@ -233,7 +203,6 @@ impl<'a> SimBuilder<'a> {
             faults: FaultConfig::disabled(),
             tracer: None,
             profile: false,
-            scopes: None,
         }
     }
 
@@ -267,40 +236,18 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Enables per-entity scoped metrics: the design tags each request
-    /// with its scope (shard, replica, embedding table), hot keys feed a
-    /// deterministic top-K sketch, and the report gains a `scopes` section
-    /// whose conservation identities `RunReport::validate` checks. Runs
-    /// without this stay byte-identical to pre-scoping reports.
-    pub fn scopes(mut self, config: ScopeConfig) -> Self {
-        self.scopes = Some(config);
-        self
-    }
-
     /// Runs the design and assembles its [`RunReport`].
     pub fn run(self) -> RunReport {
         let mut rec = StageRecorder::active();
         let mut resources = MetricSet::new();
         let mut no_tracer = Tracer::disabled();
         let tracer = self.tracer.unwrap_or(&mut no_tracer);
-        let mut scoped = match self.scopes {
-            Some(config) => ScopedMetrics::active(config),
-            None => ScopedMetrics::disabled(),
-        };
-        let ctx = Ctx {
-            rec: &mut rec,
-            resources: &mut resources,
-            tracer: &mut *tracer,
-            faults: &self.faults,
-            scopes: &mut scoped,
-        };
+        let ctx =
+            Ctx { rec: &mut rec, resources: &mut resources, tracer: &mut *tracer, faults: &self.faults };
         let stats = (self.design.run)(&self.testbed, ctx);
         let mut report = build_report(self.design.name, self.design.seed, &stats, &mut rec, resources);
-        if scoped.is_active() {
-            report.attach_scopes(scoped.finalize(report.timeline.as_ref()));
-        }
-        // The final sample sees the scope mirrors too; the `event_core.*`
-        // mirror is held to its section by `validate_event_core` instead.
+        // The final sample leaves out the `event_core.*` mirror attached
+        // below; `validate_event_core` holds that mirror to its section.
         tracer.final_sample(SimTime::ZERO + stats.makespan, &report.resources);
         if self.profile {
             report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
@@ -338,10 +285,10 @@ mod tests {
         }
     }
 
-    /// Two connections on a two-unit server, one scope and hot key each;
-    /// with `fabric` set, every request first crosses an RC write.
+    /// Two connections on a two-unit server; with `fabric` set, every
+    /// request first crosses an RC write.
     fn toy(seed: u64, fabric: bool) -> Design {
-        Design::new("toy", seed, DriverConfig::new(2, 2_000), ("conn", 2), move |tb| {
+        Design::new("toy", seed, DriverConfig::new(2, 2_000), move |tb| {
             let mut m = Toy {
                 cores: Server::new(2),
                 net: Network::new(tb.net.clone()),
@@ -349,9 +296,7 @@ mod tests {
                 server: Machine::new(NodeId(1), tb, false),
             };
             let mr = m.server.rnic.register_region(rambda_rnic::MrInfo::adaptive(rambda_mem::MemKind::Dram));
-            (m, move |m: &mut Toy, c, at, req: &mut Req<'_>| {
-                req.scope(c);
-                req.key(c as u64);
+            (m, move |m: &mut Toy, _, at, req: &mut Req<'_>| {
                 let mut t = at;
                 if fabric {
                     let Toy { net, client, server, .. } = m;
@@ -389,25 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_scopes_attach_and_validate() {
-        let plain = SimBuilder::new(toy(3, false)).run();
-        let scoped = SimBuilder::new(toy(3, false)).scopes(ScopeConfig::default()).run();
-        scoped.validate().expect("scoped report holds its conservation identities");
-        let section = scoped.scopes.as_ref().expect("scopes section attached");
-        assert_eq!(section.scopes.len(), 2);
-        assert_eq!(section.merged.count, scoped.total.count);
-        // Scoping is passive: the simulated run is unchanged, and the
-        // unscoped report has no scopes section at all.
-        assert_eq!(plain.elapsed_ps, scoped.elapsed_ps);
-        assert_eq!(plain.total, scoped.total);
-        assert!(plain.scopes.is_none());
-        assert!(!plain.to_json_string().contains("\"scopes\""));
-        // Same seed, same scoped run, byte for byte.
-        let again = SimBuilder::new(toy(3, false)).scopes(ScopeConfig::default()).run();
-        assert_eq!(scoped.to_json_string(), again.to_json_string());
-    }
-
-    #[test]
     fn builder_feeds_the_attached_tracer() {
         let mut tracer = Tracer::flight_recorder();
         let report = SimBuilder::new(toy(3, false)).tracer(&mut tracer).run();
@@ -415,24 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn traced_scoped_runs_cross_validate() {
-        // The final sample must carry the `scope.*`, `hot.*` and `slo.*`
-        // mirrors that attaching the scopes section publishes.
-        let mut tracer = Tracer::flight_recorder();
-        let report = SimBuilder::new(toy(3, false)).scopes(ScopeConfig::default()).tracer(&mut tracer).run();
-        report.validate().expect("scoped report holds its conservation identities");
-        assert!(report.resources.counter("hot.keys_tracked").is_some());
-        tracer.cross_validate(&report).expect("trace matches the scoped report");
-    }
-
-    #[test]
-    fn failed_paths_are_shed_traced_and_scoped() {
+    fn failed_paths_are_shed_and_traced() {
         // Total loss: every request's write exhausts its retries, so the
-        // loop sheds all of them, records their fault instants, takes no
-        // periodic sample and still attributes each to its scope.
-        let lossy = || SimBuilder::new(toy(3, true)).faults(FaultConfig::lossy(5, 1.0));
+        // loop sheds all of them, records their fault instants and takes
+        // no periodic sample.
         let mut tracer = Tracer::flight_recorder();
-        let report = lossy().tracer(&mut tracer).run();
+        let report =
+            SimBuilder::new(toy(3, true)).faults(FaultConfig::lossy(5, 1.0)).tracer(&mut tracer).run();
         report.validate().expect("a shedding run holds every identity");
         tracer.cross_validate(&report).expect("trace matches report");
         let shed = report.stages.iter().find(|(name, _)| name == "shed").expect("shed stage");
@@ -443,9 +358,6 @@ mod tests {
             _ => None,
         });
         assert!(sampled.all(|at| at == report.elapsed_ps), "only the final snapshot is sampled");
-        let scoped = lossy().scopes(ScopeConfig::default()).run();
-        scoped.validate().expect("shed requests keep their scopes");
-        assert_eq!(scoped.scopes.as_ref().unwrap().merged.count, scoped.total.count);
         // The same fabric without faults serves every request.
         let clean = SimBuilder::new(toy(3, true)).run();
         clean.validate().expect("consistent report");

@@ -114,33 +114,7 @@ impl DlrmParams {
     fn row_bytes(&self) -> u64 {
         self.dim as u64 * 4
     }
-
-    /// Scoped runs attribute each query to the embedding-table partition
-    /// (`table/{t}`) holding its first looked-up row: the functional rows
-    /// split into [`SCOPE_TABLES`] equal ranges.
-    fn scopes(&self) -> (&'static str, usize) {
-        ("table", SCOPE_TABLES as usize)
-    }
-
-    /// Attributes a query to its table partition and feeds every row the
-    /// reduction plan touches into the hot-key sketch (memoized pairs count
-    /// as their even row).
-    fn tag(&self, plan: &ReductionPlan, req: &mut Req<'_>) {
-        for &p in &plan.memo_pairs {
-            req.key(2 * p as u64);
-        }
-        for &r in &plan.singles {
-            req.key(r as u64);
-        }
-        let row =
-            plan.singles.first().copied().unwrap_or_else(|| plan.memo_pairs.first().map_or(0, |p| p * 2));
-        let t = row as u64 * SCOPE_TABLES as u64 / self.functional_rows.max(1) as u64;
-        req.scope(t.min(SCOPE_TABLES as u64 - 1) as usize);
-    }
 }
-
-/// Embedding-table partitions a scoped run attributes queries to.
-const SCOPE_TABLES: u32 = 4;
 
 /// Shared functional state for one run.
 struct DlrmWorld {
@@ -251,7 +225,7 @@ impl Machines for DlrmRambda {
 impl DlrmDesigns for Design {
     /// The CPU-only MERCI baseline on `cores` cores.
     fn dlrm_cpu(params: DlrmParams, cores: usize) -> Design {
-        Design::new("dlrm.cpu", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("dlrm.cpu", params.seed, params.driver(), move |tb| {
             let mut m = DlrmCpu {
                 net: Network::new(tb.net.clone()),
                 client: Machine::new(CLIENT, tb, true),
@@ -266,7 +240,6 @@ impl DlrmDesigns for Design {
             let row = params.row_bytes();
             (m, move |m: &mut DlrmCpu, _, at, req: &mut Req<'_>| {
                 let (plan, wire, _score) = world.next_query(&params);
-                params.tag(&plan, req);
                 let DlrmCpu { net, client, server, cores, gather } = m;
                 let costs = &params.costs;
                 let delivered = two_sided_send(
@@ -310,7 +283,7 @@ impl DlrmDesigns for Design {
     /// hand-off, APU embedding reduction + FC. `location` selects prototype
     /// (HostDram) or the local-memory variants.
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design {
-        Design::new("dlrm.rambda", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("dlrm.rambda", params.seed, params.driver(), move |tb| {
             let mut m = DlrmRambda {
                 net: Network::new(tb.net.clone()),
                 client: Machine::new(CLIENT, tb, false),
@@ -328,7 +301,6 @@ impl DlrmDesigns for Design {
             let local_row = (row as f64 * params.costs.local_gather_overhead) as u64;
             (m, move |m: &mut DlrmRambda, _, at, req: &mut Req<'_>| {
                 let (plan, wire, _score) = world.next_query(&params);
-                params.tag(&plan, req);
                 let DlrmRambda { net, client, server, engine, preprocess, dispatch } = m;
                 let costs = &params.costs;
                 // Request into the accelerator's ring.

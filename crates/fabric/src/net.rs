@@ -222,26 +222,6 @@ impl Network {
         }
     }
 
-    /// Publishes each active port's link counters into its own metric scope
-    /// (`link/{prefix}.egress.{n}`, `link/{prefix}.ingress.{n}`), under the
-    /// *same* counter names the global report carries — so the scoped
-    /// rollup's per-link counters provably equal the run's resource
-    /// counters. A disabled registry makes this a no-op.
-    pub fn publish_scoped(&self, scopes: &mut rambda_metrics::ScopedMetrics, prefix: &str) {
-        for (node, link) in &self.egress {
-            let name = format!("{prefix}.egress.{}", node.0);
-            if let Some(set) = scopes.child(&format!("link/{name}")) {
-                set.observe_link(&name, link);
-            }
-        }
-        for (node, link) in &self.ingress {
-            let name = format!("{prefix}.ingress.{}", node.0);
-            if let Some(set) = scopes.child(&format!("link/{name}")) {
-                set.observe_link(&name, link);
-            }
-        }
-    }
-
     /// Resets all port occupancy and counters; an installed fault plan is
     /// re-created from its config, so its RNG stream restarts.
     pub fn reset(&mut self) {

@@ -163,25 +163,6 @@ impl KvsParams {
 const CLIENT: NodeId = NodeId(0);
 const SERVER: NodeId = NodeId(1);
 
-/// Key-range shards a scoped run attributes requests to: key `k` of a
-/// `pairs`-key store lands in `shard/{k·4/pairs}`. Matches the roadmap's
-/// sharded multi-server direction without changing any serving path.
-const SCOPE_SHARDS: u64 = 4;
-
-impl KvsParams {
-    fn scopes(&self) -> (&'static str, usize) {
-        ("shard", SCOPE_SHARDS.min(self.pairs.max(1)) as usize)
-    }
-
-    /// Attributes a request to its key's shard and feeds the key into the
-    /// hot-key sketch.
-    fn tag(&self, op: &KvOp, req: &mut Req<'_>) {
-        let key = op.key();
-        req.scope((key * SCOPE_SHARDS.min(self.pairs.max(1)) / self.pairs.max(1)) as usize);
-        req.key(key);
-    }
-}
-
 /// Probability of an OS-induced hiccup on a CPU core per request, and its
 /// mean duration — the scheduling/contention noise behind the paper's
 /// "more stable behaviour than the CPU core" tail-latency observation.
@@ -275,7 +256,7 @@ impl Machines for KvsSmartNic {
 
 impl KvsDesigns for Design {
     fn kvs_cpu(params: KvsParams) -> Design {
-        Design::new("kvs.cpu", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("kvs.cpu", params.seed, params.driver(), move |tb| {
             let mut m = KvsCpu {
                 net: Network::new(tb.net.clone()),
                 client: Machine::new(CLIENT, tb, true),
@@ -291,7 +272,6 @@ impl KvsDesigns for Design {
             let put_value = vec![0xAB; params.value_bytes as usize];
             (m, move |m: &mut KvsCpu, _, at, req: &mut Req<'_>| {
                 let op = mix.next_op(&mut rng);
-                params.tag(&op, req);
                 let KvsCpu { net, client, server, cpu } = m;
                 // Request: two-sided send into the server's posted RQ.
                 let delivered = two_sided_send(
@@ -343,7 +323,7 @@ impl KvsDesigns for Design {
     }
 
     fn kvs_rambda(params: KvsParams, location: DataLocation) -> Design {
-        Design::new("kvs.rambda", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("kvs.rambda", params.seed, params.driver(), move |tb| {
             // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
             let mut m = KvsRambda {
                 net: Network::new(tb.net.clone()),
@@ -365,7 +345,6 @@ impl KvsDesigns for Design {
             let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
             (m, move |m: &mut KvsRambda, _, at, req: &mut Req<'_>| {
                 let op = mix.next_op(&mut rng);
-                params.tag(&op, req);
                 let KvsRambda { net, client, server, engine, sq } = m;
                 let req_bytes = params.request_bytes(&op);
                 // One-sided write into the request ring (cpoll region).
@@ -423,7 +402,7 @@ impl KvsDesigns for Design {
     }
 
     fn kvs_smartnic(params: KvsParams) -> Design {
-        Design::new("kvs.smartnic", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("kvs.smartnic", params.seed, params.driver(), move |tb| {
             let m = KvsSmartNic {
                 net: Network::new(tb.net.clone()),
                 client: Machine::new(CLIENT, tb, true),
@@ -444,7 +423,6 @@ impl KvsDesigns for Design {
             let put_value = vec![0xAB; params.value_bytes as usize];
             (m, move |m: &mut KvsSmartNic, _, at, req: &mut Req<'_>| {
                 let op = mix.next_op(&mut rng);
-                params.tag(&op, req);
                 let KvsSmartNic { net, client, server, nic, nic_mem } = m;
                 // Client posts; request terminates at the Smart NIC (no host
                 // PCIe).

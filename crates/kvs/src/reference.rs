@@ -148,7 +148,7 @@ impl RefStore {
             let bucket = self.bucket_mut(cursor);
             if let Some(empty) = bucket.slots.iter_mut().find(|s| s.is_none()) {
                 *empty = Some(Slot { key, value_idx });
-                trace.writes = 2;
+                trace.writes += 2;
                 self.len += 1;
                 return trace;
             }

@@ -243,6 +243,9 @@ impl KvStore {
                 idx
             }
         };
+        // Bucket entry + value store, plus the link write of a chained
+        // bucket allocated on the way.
+        let mut writes = 2;
         let mut at = BucketRef::Primary(bi);
         loop {
             let bucket = self.bucket_mut(at);
@@ -250,15 +253,14 @@ impl KvStore {
                 bucket.keys[way] = key;
                 bucket.values[way] = value_idx;
                 self.len += 1;
-                // Bucket entry + value store; the link write of a chained
-                // bucket allocated on the way is not counted.
-                return OpTrace { bucket_reads, value_reads: 0, writes: 2, hit: false };
+                return OpTrace { bucket_reads, value_reads: 0, writes, hit: false };
             }
             let next = bucket.next;
             at = if next == NONE {
                 let n = index(self.overflow.len());
                 self.overflow.push(Bucket::EMPTY);
                 self.bucket_mut(at).next = n;
+                writes += 1;
                 BucketRef::Overflow(n as usize)
             } else {
                 BucketRef::Overflow(next as usize)
@@ -436,6 +438,27 @@ mod tests {
             chained |= t.bucket_reads > 1;
         }
         assert!(chained, "expected some chain walks in an overloaded table");
+    }
+
+    #[test]
+    fn an_insert_that_allocates_a_chained_bucket_writes_its_link() {
+        // One primary bucket: the ninth new key allocates a chained bucket
+        // and writes its link besides the entry and the value. No serving
+        // run takes this path: `KvsParams::loaded_store` preloads keys
+        // `0..pairs` and every serving PUT updates one of them in place, so
+        // reports do not move.
+        let cfg = KvConfig { buckets: 1, value_bytes: 8 };
+        let (mut store, mut reference) = (KvStore::new(cfg.clone()), RefStore::new(cfg));
+        let mut put = |k: u64| {
+            let trace = store.put_slice(k, &[k as u8; 8]);
+            assert_eq!(trace, reference.put_slice(k, &[k as u8; 8]), "key {k}");
+            trace.writes
+        };
+        for k in 0..8 {
+            assert_eq!(put(k), 2, "key {k} fills a way of the primary bucket");
+        }
+        assert_eq!(put(8), 3, "entry, value and the new bucket's link");
+        assert_eq!(put(9), 2, "the chained bucket is already linked");
     }
 
     #[test]

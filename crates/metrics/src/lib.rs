@@ -26,12 +26,6 @@
 //!   per-window latency histograms and per-resource busy/wait deltas on a
 //!   deterministic sim-time grid, cross-checked against the whole-run
 //!   totals by exact merge and busy-time identities (DESIGN.md §10).
-//! - [`ScopedMetrics`] / [`ScopesSummary`] — per-entity attribution: named
-//!   child scopes (shard, replica, table, link) whose counters, latency
-//!   histograms, and timeline windows provably roll up to the global
-//!   report; deterministic space-saving [`TopKSketch`]es over hot keys and
-//!   hot scopes; and a windowed [`SloSummary`] burn-rate digest
-//!   (DESIGN.md §15).
 //!
 //! Determinism is the design constraint throughout: `BTreeMap` storage,
 //! insertion-ordered JSON objects, shortest-round-trip float formatting,
@@ -43,15 +37,11 @@
 mod event_core;
 pub mod json;
 mod report;
-mod scope;
 mod set;
-mod sketch;
 mod timeline;
 
 pub use event_core::{EventCoreSummary, EventKindSummary};
 pub use json::Json;
 pub use report::{HistSummary, ReqTrace, RunReport, StageRecorder};
-pub use scope::{HotScope, ScopeConfig, ScopeSummary, ScopedMetrics, ScopesSummary, SloSummary};
 pub use set::MetricSet;
-pub use sketch::{SketchEntry, TopKSketch};
 pub use timeline::{ResourceSeries, Timeline, TimelineSummary};

@@ -14,7 +14,6 @@ use rambda_des::{Histogram, SimTime, Span};
 
 use crate::event_core::EventCoreSummary;
 use crate::json::Json;
-use crate::scope::ScopesSummary;
 use crate::set::MetricSet;
 use crate::timeline::{wait_counter, Timeline, TimelineSummary};
 
@@ -222,10 +221,6 @@ pub struct RunReport {
     /// Deterministic event-core scheduler telemetry, attached via
     /// [`RunReport::attach_event_core`] when profiling is enabled.
     pub event_core: Option<EventCoreSummary>,
-    /// Per-entity scoped metrics (per-scope counters/latency/windows, hot
-    /// sketches, SLO digest), attached via [`RunReport::attach_scopes`]
-    /// when the run enabled scoping.
-    pub scopes: Option<ScopesSummary>,
 }
 
 impl RunReport {
@@ -253,7 +248,6 @@ impl RunReport {
             resources,
             timeline: rec.timeline_summary().cloned(),
             event_core: None,
-            scopes: None,
         };
         report.publish_utilization();
         report
@@ -266,15 +260,6 @@ impl RunReport {
     pub fn attach_event_core(&mut self, summary: EventCoreSummary) {
         summary.publish_metrics(&mut self.resources, "event_core");
         self.event_core = Some(summary);
-    }
-
-    /// Attaches the scoped-metrics section: stores the summary and
-    /// publishes its `scope.*` / `hot.*` / `slo.*` mirror counters so
-    /// `validate_scopes` can cross-check them. Unscoped runs never call
-    /// this, keeping their JSON byte-identical to the goldens.
-    pub fn attach_scopes(&mut self, summary: ScopesSummary) {
-        summary.publish_metrics(&mut self.resources);
-        self.scopes = Some(summary);
     }
 
     /// Derives `*.utilization` gauges from published `*.busy_ps` counters
@@ -368,200 +353,7 @@ impl RunReport {
         self.validate_faults()?;
         self.validate_rnic()?;
         self.validate_event_core()?;
-        self.validate_timeline()?;
-        self.validate_scopes()
-    }
-
-    /// Checks the scoped-metrics conservation identities (analyzer rule
-    /// R10 keeps the mirror list in sync with the `scopes` publisher):
-    ///
-    /// - **histogram conservation** — the per-scope latency histograms
-    ///   merge to the traced total bucket-for-bucket, and their counts and
-    ///   sums telescope to it exactly;
-    /// - **window conservation** — each scope's windows sit on the global
-    ///   timeline grid, and per window the scope counts/sums telescope to
-    ///   the global window exactly;
-    /// - **counter conservation** — per-scope counters sum to the rollup,
-    ///   and every rollup counter sharing a name with a global resource
-    ///   counter equals it exactly (the fabric's per-link scopes publish
-    ///   under global names, so each link's traffic is attributed once);
-    /// - **sketch conservation** — the space-saving sketches' monitored
-    ///   counts sum to their observation totals, rankings are
-    ///   non-increasing with `err ≤ count`, and an exact (`err == 0`)
-    ///   hot-scope entry equals its scope's request counter;
-    /// - the SLO digest re-derives from the timeline, and the published
-    ///   `scope.*` / `hot.*` / `slo.*` counters mirror the section.
-    ///
-    /// A report without an attached section (every unscoped run) reduces
-    /// to `Ok(())`.
-    fn validate_scopes(&self) -> Result<(), String> {
-        let Some(sc) = &self.scopes else { return Ok(()) };
-        if sc.merged != self.total {
-            return Err(format!("scope merged summary {:?} != traced total {:?}", sc.merged, self.total));
-        }
-        let count: u64 = sc.scopes.iter().map(|s| s.latency.count).sum();
-        let sum: u128 = sc.scopes.iter().map(|s| s.latency.sum_ps).sum();
-        if count != sc.merged.count || sum != sc.merged.sum_ps {
-            return Err(format!(
-                "per-scope histograms hold {count} samples / {sum} ps, merged says {} / {} ps",
-                sc.merged.count, sc.merged.sum_ps
-            ));
-        }
-        for s in &sc.scopes {
-            let requests = s.set.counter("requests").unwrap_or(0);
-            if requests != s.latency.count {
-                return Err(format!(
-                    "scope {} counted {requests} requests but recorded {} latencies",
-                    s.name, s.latency.count
-                ));
-            }
-            let recorded = s.set.counter("latency_ps").unwrap_or(0);
-            if recorded != u64::try_from(s.latency.sum_ps).unwrap_or(u64::MAX) {
-                return Err(format!(
-                    "scope {} latency_ps counter {recorded} != histogram sum {} ps",
-                    s.name, s.latency.sum_ps
-                ));
-            }
-        }
-        // Counter conservation: recompute the rollup from the children and
-        // hold any name shared with the global resources to the same value.
-        let mut recomputed = MetricSet::new();
-        for s in &sc.scopes {
-            recomputed.merge(&s.set);
-        }
-        for (name, value) in recomputed.counters() {
-            if sc.rollup.counter(name) != Some(value) {
-                return Err(format!(
-                    "rollup counter {name} = {:?} does not equal the per-scope sum {value}",
-                    sc.rollup.counter(name)
-                ));
-            }
-        }
-        if sc.rollup.counters().count() != recomputed.counters().count() {
-            return Err("rollup carries counters no scope published".to_string());
-        }
-        for (name, value) in sc.rollup.counters() {
-            if let Some(global) = self.resources.counter(name) {
-                if global != value {
-                    return Err(format!(
-                        "scoped counter {name} sums to {value} but the global counter says {global}"
-                    ));
-                }
-            }
-        }
-        // Window conservation against the global timeline grid.
-        match &self.timeline {
-            Some(tl) => {
-                for s in &sc.scopes {
-                    if s.windows.len() != tl.windows.len() {
-                        return Err(format!(
-                            "scope {} has {} windows on a {}-window global grid",
-                            s.name,
-                            s.windows.len(),
-                            tl.windows.len()
-                        ));
-                    }
-                }
-                for (i, global) in tl.windows.iter().enumerate() {
-                    let count: u64 = sc.scopes.iter().map(|s| s.windows[i].count).sum();
-                    let sum: u128 = sc.scopes.iter().map(|s| s.windows[i].sum_ps).sum();
-                    if count != global.count || sum != global.sum_ps {
-                        return Err(format!(
-                            "window {i}: scopes hold {count} samples / {sum} ps, global window \
-                             holds {} / {} ps",
-                            global.count, global.sum_ps
-                        ));
-                    }
-                }
-            }
-            None => {
-                if sc.scopes.iter().any(|s| !s.windows.is_empty()) || sc.slo.windows != 0 {
-                    return Err("scoped windows present without a global timeline".to_string());
-                }
-            }
-        }
-        // Sketch conservation: monitored counts sum to the observation
-        // total (a space-saving invariant — every observation lands in
-        // exactly one monitored counter, eviction moves mass, never drops
-        // it), rankings are ordered, and exact entries match ground truth.
-        if sc.top_hits() != sc.keys_observed {
-            return Err(format!(
-                "hot-key counts sum to {} for {} observations",
-                sc.top_hits(),
-                sc.keys_observed
-            ));
-        }
-        for rows in sc.hot_keys.windows(2) {
-            if rows[0].count < rows[1].count {
-                return Err(format!("hot keys out of order: {rows:?}"));
-            }
-        }
-        for row in &sc.hot_keys {
-            if row.err > row.count {
-                return Err(format!("hot key {} error {} exceeds its count {}", row.key, row.err, row.count));
-            }
-        }
-        let scope_hits: u64 = sc.hot_scopes.iter().map(|r| r.count).sum();
-        if scope_hits != sc.merged.count {
-            return Err(format!(
-                "hot-scope counts sum to {scope_hits} for {} recorded requests",
-                sc.merged.count
-            ));
-        }
-        for row in &sc.hot_scopes {
-            if row.err > row.count {
-                return Err(format!(
-                    "hot scope {} error {} exceeds its count {}",
-                    row.scope, row.err, row.count
-                ));
-            }
-            if row.err == 0 {
-                let truth =
-                    sc.scopes.iter().find(|s| s.name == row.scope).map(|s| s.latency.count).unwrap_or(0);
-                if row.count != truth {
-                    return Err(format!(
-                        "exact hot-scope entry {} claims {} requests, scope recorded {truth}",
-                        row.scope, row.count
-                    ));
-                }
-            }
-        }
-        // The SLO digest must re-derive from the timeline it summarizes.
-        let derived = crate::scope::SloSummary::derive(sc.slo.target_p99_ps, self.timeline.as_ref());
-        if derived != sc.slo {
-            return Err(format!(
-                "SLO digest {:?} does not re-derive from the timeline ({derived:?})",
-                sc.slo
-            ));
-        }
-        // The published counters must mirror the structured section.
-        let counter = |name: &str| self.resources.counter(name).unwrap_or(0);
-        let mirror: [(&str, u64); 8] = [
-            ("scope.count", sc.scopes.len() as u64),
-            ("scope.requests", sc.merged.count),
-            ("scope.latency_ps", u64::try_from(sc.merged.sum_ps).unwrap_or(u64::MAX)),
-            ("hot.keys_tracked", sc.hot_keys.len() as u64),
-            ("hot.observed", sc.keys_observed),
-            ("hot.top_hits", sc.top_hits()),
-            ("slo.violations", sc.slo.violations),
-            ("slo.windows", sc.slo.windows),
-        ];
-        for (name, expect) in mirror {
-            if counter(name) != expect {
-                return Err(format!(
-                    "published counter {name} = {} does not mirror the scopes section ({expect})",
-                    counter(name)
-                ));
-            }
-        }
-        if self.resources.gauge_value("slo.burn_rate") != Some(sc.slo.burn_rate) {
-            return Err(format!(
-                "published gauge slo.burn_rate = {:?} does not mirror the section ({})",
-                self.resources.gauge_value("slo.burn_rate"),
-                sc.slo.burn_rate
-            ));
-        }
-        Ok(())
+        self.validate_timeline()
     }
 
     /// Checks the event-core conservation identities (analyzer rule R9
@@ -826,9 +618,6 @@ impl RunReport {
         if let Some(ec) = &self.event_core {
             out.push("event_core", ec.to_json());
         }
-        if let Some(sc) = &self.scopes {
-            out.push("scopes", sc.to_json());
-        }
         out
     }
 
@@ -1013,100 +802,6 @@ mod tests {
         assert!(err.contains("telescope"), "{err}");
         report.event_core.as_mut().unwrap().near_hits = 7;
         report.validate().expect("restored");
-    }
-
-    /// Builds a fully-scoped report the way `SimBuilder::run` does: trace
-    /// every request, scope-record every request, finalize the timeline,
-    /// then attach the scoped summary. `skip_one_scope_record` drops one
-    /// request from the scoped view to break histogram conservation.
-    fn scoped_report(skip_one_scope_record: bool) -> RunReport {
-        use crate::scope::{ScopeConfig, ScopedMetrics};
-        let mut rec = StageRecorder::active();
-        let mut scopes = ScopedMetrics::active(ScopeConfig { top_k: 2, slo_p99_ps: 500_000 });
-        let mut latency = Histogram::new();
-        for i in 0..20u64 {
-            let t0 = ns(i * 1000);
-            let done = t0 + Span::from_ns(1000);
-            let mut tr = rec.trace(t0);
-            tr.leg("serve", done);
-            rec.request(t0, done);
-            if !(skip_one_scope_record && i == 7) {
-                scopes.record(if i % 4 == 0 { "shard/0" } else { "shard/1" }, t0, done);
-            }
-            scopes.observe_key(i % 3);
-            if i >= 2 {
-                latency.record(done - t0);
-            }
-        }
-        let mut resources = MetricSet::new();
-        resources.set("cpu.busy_ps", 10_000_000);
-        resources.set("cpu.units", 4);
-        rec.finalize_timeline(Span::from_us(20), &resources);
-        let mut report = RunReport::new(
-            "test.scoped",
-            7,
-            18,
-            1.0e6,
-            Span::from_us(20),
-            HistSummary::of(&latency),
-            &rec,
-            resources,
-        );
-        report.attach_scopes(scopes.finalize(report.timeline.as_ref()));
-        report
-    }
-
-    #[test]
-    fn scoped_report_validates_and_serializes() {
-        let report = scoped_report(false);
-        report.validate().expect("scoped report should be consistent");
-        let text = report.to_json_string();
-        assert!(text.contains("\"scopes\""), "{text}");
-        assert!(text.contains("\"shard/0\""), "{text}");
-        assert!(text.contains("\"hot_keys\""), "{text}");
-        assert!(text.contains("\"burn_rate\""), "{text}");
-        assert_eq!(report.resources.counter("scope.requests"), Some(20));
-        assert_eq!(report.resources.counter("hot.observed"), Some(20));
-        // Byte-identical across identical rebuilds.
-        assert_eq!(text, scoped_report(false).to_json_string());
-    }
-
-    #[test]
-    fn unscoped_request_breaks_histogram_conservation() {
-        let report = scoped_report(true);
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("scope merged"), "{err}");
-    }
-
-    #[test]
-    fn scope_identities_catch_tampering() {
-        // A drifted mirror counter.
-        let mut report = scoped_report(false);
-        report.resources.set("scope.requests", 21);
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("mirror"), "{err}");
-
-        // A scope whose counter disagrees with its own histogram.
-        let mut report = scoped_report(false);
-        report.scopes.as_mut().unwrap().scopes[0].set.add("requests", 1);
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("requests"), "{err}");
-
-        // An SLO digest that no longer re-derives from the timeline.
-        let mut report = scoped_report(false);
-        report.scopes.as_mut().unwrap().slo.violations += 1;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("re-derive"), "{err}");
-
-        // A hot-scope entry claiming exactness with a wrong count.
-        let mut report = scoped_report(false);
-        {
-            let sc = report.scopes.as_mut().unwrap();
-            sc.hot_scopes[0].count += 1;
-            sc.hot_scopes[1].count -= 1;
-        }
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("hot-scope") || err.contains("exact"), "{err}");
     }
 
     #[test]

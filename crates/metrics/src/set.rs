@@ -2,9 +2,7 @@
 //!
 //! Names are dotted paths (`"accel.slots.busy_ps"`); storage is a
 //! `BTreeMap`, so iteration — and therefore JSON output — is always sorted
-//! and deterministic. Counters are `u64` and merge by saturating addition;
-//! gauges are `f64` snapshots and merge by keep-max (see
-//! [`MetricSet::merge`] for why).
+//! and deterministic. Counters are `u64`; gauges are `f64` snapshots.
 
 use std::collections::BTreeMap;
 
@@ -71,34 +69,6 @@ impl MetricSet {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Merges another registry in: counters add (saturating), colliding
-    /// gauges keep the maximum.
-    ///
-    /// Keep-max is the only order-independent choice that makes sense for
-    /// every gauge this workspace publishes (utilizations, burn rates —
-    /// all "pressure" readings where the worst observation is the one
-    /// worth keeping). The previous last-write-wins silently made
-    /// `a.merge(&b)` and `b.merge(&a)` disagree; keep-max is commutative,
-    /// so merge order — e.g. scope iteration order in a rollup — can never
-    /// change the result. NaN never wins a collision (any comparison with
-    /// it is `false`), so a poisoned gauge cannot overwrite a real one.
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (name, value) in &other.counters {
-            let slot = self.counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*value);
-        }
-        for (name, value) in &other.gauges {
-            self.gauges
-                .entry(name.clone())
-                .and_modify(|existing| {
-                    if *value > *existing {
-                        *existing = *value;
-                    }
-                })
-                .or_insert(*value);
-        }
-    }
-
     /// Publishes a [`Server`]'s counters under `prefix`: unit count,
     /// acquisitions, aggregate busy time, and aggregate queue wait.
     pub fn observe_server(&mut self, prefix: &str, server: &Server) {
@@ -155,54 +125,6 @@ mod tests {
         assert_eq!(m.counter("missing"), None);
         m.set("a.ops", 1);
         assert_eq!(m.counter("a.ops"), Some(1));
-    }
-
-    #[test]
-    fn merge_adds_counters_and_keeps_max_gauges() {
-        let mut a = MetricSet::new();
-        a.add("x", 1);
-        a.gauge("u", 0.25);
-        let mut b = MetricSet::new();
-        b.add("x", 2);
-        b.add("y", 7);
-        b.gauge("u", 0.75);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), Some(3));
-        assert_eq!(a.counter("y"), Some(7));
-        assert_eq!(a.gauge_value("u"), Some(0.75));
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn gauge_merge_is_keep_max_hence_commutative() {
-        // The collision case: the incoming gauge is *smaller*. Under the
-        // old last-write-wins it would have clobbered the larger reading;
-        // keep-max retains it, and merge order no longer matters.
-        let mut hi = MetricSet::new();
-        hi.gauge("util", 0.9);
-        let mut lo = MetricSet::new();
-        lo.gauge("util", 0.1);
-        lo.gauge("only_lo", 0.5);
-
-        let mut a = hi.clone();
-        a.merge(&lo);
-        assert_eq!(a.gauge_value("util"), Some(0.9), "smaller incoming gauge must not clobber");
-        assert_eq!(a.gauge_value("only_lo"), Some(0.5));
-
-        let mut b = lo.clone();
-        b.merge(&hi);
-        assert_eq!(b.gauge_value("util"), Some(0.9));
-        assert_eq!(a, b, "gauge merge commutes");
-    }
-
-    #[test]
-    fn nan_gauge_never_wins_a_merge_collision() {
-        let mut a = MetricSet::new();
-        a.gauge("g", 0.5);
-        let mut poisoned = MetricSet::new();
-        poisoned.gauge("g", f64::NAN);
-        a.merge(&poisoned);
-        assert_eq!(a.gauge_value("g"), Some(0.5));
     }
 
     #[test]

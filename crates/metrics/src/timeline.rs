@@ -212,34 +212,6 @@ impl Timeline {
         }
     }
 
-    /// Regroups the raw per-base-window histograms onto a coarser grid of
-    /// `n` windows of width `window_ps` and summarizes each.
-    ///
-    /// Used by the scoped-metrics layer to align a scope's windows with the
-    /// globally finalized grid: the merge is exact (whole base windows move,
-    /// never split) provided `window_ps` is a multiple of this collector's
-    /// base window and `n` windows cover every recorded completion. Returns
-    /// `None` when either precondition fails.
-    pub fn windows_on_grid(&self, window_ps: u64, n: usize) -> Option<Vec<HistSummary>> {
-        let w = self.window.as_ps();
-        if window_ps == 0 || !window_ps.is_multiple_of(w) {
-            return None;
-        }
-        let mut grouped: Vec<Histogram> = Vec::new();
-        grouped.resize_with(n, Histogram::new);
-        for (i, hist) in self.hists.iter().enumerate() {
-            let j = ((i as u64) * w / window_ps) as usize;
-            if j >= n {
-                if hist.count() == 0 {
-                    continue;
-                }
-                return None;
-            }
-            grouped[j].merge(hist);
-        }
-        Some(grouped.iter().map(HistSummary::of).collect())
-    }
-
     /// Per-window deltas of a cumulative counter over `n` windows of width
     /// `window_ps`: interior boundaries read the stepwise snapshot value,
     /// the final boundary reads the exact final counter, so the series sums
@@ -490,35 +462,6 @@ mod tests {
         let s = tl.finalize(Span::from_us(20), &MetricSet::new());
         assert_eq!(s.windows.len(), 2, "no empty third window");
         assert_eq!(s.completed(1), 1);
-    }
-
-    #[test]
-    fn windows_on_grid_regroups_exactly() {
-        let mut tl = Timeline::new(Span::from_us(10), 8);
-        tl.record(SimTime::ZERO, us(5)); // base window 0
-        tl.record(SimTime::ZERO, us(15)); // base window 1
-        tl.record(SimTime::ZERO, us(25)); // base window 2
-                                          // Regroup onto a 20 µs grid (2 base windows per target window).
-        let grid = tl.windows_on_grid(20_000_000, 2).expect("grid divides");
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0].count, 2);
-        assert_eq!(grid[1].count, 1);
-        // A non-multiple grid is rejected, as is a grid too short for a
-        // non-empty base window.
-        assert!(tl.windows_on_grid(15_000_000, 4).is_none());
-        assert!(tl.windows_on_grid(20_000_000, 1).is_none());
-        // Padding: extra target windows come back empty.
-        let padded = tl.windows_on_grid(20_000_000, 5).unwrap();
-        assert_eq!(padded.len(), 5);
-        assert_eq!(padded[4].count, 0);
-    }
-
-    #[test]
-    fn empty_timeline_pads_windows_on_any_grid() {
-        let tl = Timeline::default(); // 50 µs base, nothing recorded
-        let grid = tl.windows_on_grid(100_000_000, 3).unwrap();
-        assert_eq!(grid.len(), 3);
-        assert!(grid.iter().all(|w| w.count == 0));
     }
 
     #[test]

@@ -60,13 +60,6 @@ impl TxnParams {
         DriverConfig { clients: 1, window: 1, requests: self.txns, warmup: 0.05 }
     }
 
-    /// Scoped runs attribute each transaction to its first key's home
-    /// replica (`replica/{key % 2}`) — the coordinator that would own the
-    /// key in a sharded two-replica deployment.
-    fn scopes(&self) -> (&'static str, usize) {
-        ("replica", 2)
-    }
-
     /// The functional chain with every key pre-loaded (bulk path; state
     /// matches per-txn execution).
     fn preloaded_chain(&self) -> Chain {
@@ -85,17 +78,6 @@ impl TxnParams {
             .collect();
         (read_keys.to_vec(), writes)
     }
-}
-
-/// Attributes a transaction to its home replica — its first sampled key,
-/// modulo the two Fig. 11 replicas — and feeds every key into the hot-key
-/// sketch.
-fn tag(reads: &[u64], writes: &[TxnWrite], req: &mut Req<'_>) {
-    for key in reads.iter().copied().chain(writes.iter().map(|w| w.key)) {
-        req.key(key);
-    }
-    let home = reads.first().copied().unwrap_or_else(|| writes.first().map_or(0, |w| w.key));
-    req.scope((home % 2) as usize);
 }
 
 /// Mean ARM routing delay between the ports (2-3 µs in Sec. VI-C).
@@ -189,7 +171,7 @@ impl TxnDesigns for Design {
     /// transactions must issue them sequentially (the Sec. IV-B limitation
     /// Rambda removes).
     fn txn_hyperloop(params: TxnParams) -> Design {
-        Design::new("txn.hyperloop", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("txn.hyperloop", params.seed, params.driver(), move |tb| {
             let mut w = Fig11::new(tb);
             let mut chain = params.preloaded_chain();
             let dist = KeyDist::uniform(params.keys);
@@ -201,7 +183,6 @@ impl TxnDesigns for Design {
             let opts = WriteOpts { post: PostPath::HostMmio, batch: 1, flags: PostFlags::NONE };
             (w, move |w: &mut Fig11, _, at, req: &mut Req<'_>| {
                 let (reads, writes) = params.sample_txn(&dist, &mut workload_rng);
-                tag(&reads, &writes, req);
                 let mut t = at;
                 // Sequential one-sided reads from the head replica's NVM.
                 for _ in 0..reads.len() {
@@ -258,7 +239,7 @@ impl TxnDesigns for Design {
     /// concurrency control, and forwards along the chain — one chain round
     /// per *transaction*.
     fn txn_rambda_tx(params: TxnParams) -> Design {
-        Design::new("txn.rambda_tx", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("txn.rambda_tx", params.seed, params.driver(), move |tb| {
             let mut w = Fig11::new(tb);
             let mut chain = params.preloaded_chain();
             let dist = KeyDist::uniform(params.keys);
@@ -280,7 +261,6 @@ impl TxnDesigns for Design {
             let accel_opts = WriteOpts { post: PostPath::AccelMmio, ..opts };
             (m, move |m: &mut RambdaTx, _, at, req: &mut Req<'_>| {
                 let (reads, writes) = params.sample_txn(&dist, &mut workload_rng);
-                tag(&reads, &writes, req);
                 let RambdaTx { w, accel0, accel1 } = m;
                 let entry = spec.log_entry_bytes();
                 // One combined request into the head's NVM ring (= redo log write).
@@ -358,7 +338,7 @@ impl TxnDesigns for Design {
     }
 
     fn txn_pure_reads(params: TxnParams) -> Design {
-        Design::new("txn.pure_reads", params.seed, params.driver(), params.scopes(), move |tb| {
+        Design::new("txn.pure_reads", params.seed, params.driver(), move |tb| {
             let mut w = Fig11::new(tb);
             let mut chain = params.preloaded_chain();
             let dist = KeyDist::uniform(params.keys);
@@ -367,7 +347,6 @@ impl TxnDesigns for Design {
             let value = params.value_bytes as u64;
             (w, move |w: &mut Fig11, _, at, req: &mut Req<'_>| {
                 let key = dist.sample(&mut workload_rng);
-                tag(&[key], &[], req);
                 let data_at = rdma_read(
                     at,
                     &mut w.client.rnic,

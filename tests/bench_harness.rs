@@ -24,14 +24,14 @@ fn first_quick_run(name: &str) -> &'static SweepResult {
     let names = sweep_names();
     let runs = RUNS.get_or_init(|| names.iter().map(|_| OnceLock::new()).collect());
     let i = names.iter().position(|n| *n == name).expect(name);
-    runs[i].get_or_init(|| run_sweep(name, true, false, false).expect(name))
+    runs[i].get_or_init(|| run_sweep(name, true, false).expect(name))
 }
 
 /// Same seed, same sweep, same bytes — the property the CI gate stands on.
 #[test]
 fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
     for name in sweep_names() {
-        let b = run_sweep(name, true, false, false).expect(name);
+        let b = run_sweep(name, true, false).expect(name);
         let a = first_quick_run(name);
         let text = a.to_json_string();
         assert_eq!(text, b.to_json_string(), "{name}: same-seed sweeps serialized differently");
@@ -74,8 +74,8 @@ fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
 #[test]
 fn profiled_sweeps_are_deterministic_and_additive() {
     let plain = first_quick_run("micro_designs");
-    let a = run_sweep("micro_designs", true, true, false).expect("profiled");
-    let b = run_sweep("micro_designs", true, true, false).expect("profiled");
+    let a = run_sweep("micro_designs", true, true).expect("profiled");
+    let b = run_sweep("micro_designs", true, true).expect("profiled");
     assert_eq!(a.to_json_string(), b.to_json_string(), "same-seed profiled sweeps must match");
     assert!(a.to_json_string().contains("events_dispatched"));
     assert!(!plain.to_json_string().contains("events_dispatched"), "unprofiled sweeps must omit the key");
@@ -83,24 +83,6 @@ fn profiled_sweeps_are_deterministic_and_additive() {
         assert_eq!(p.throughput_ops, q.throughput_ops, "profiling perturbed {}", p.design);
         assert_eq!(p.p99_ps, q.p99_ps, "profiling perturbed {}", p.design);
         assert!(q.events_dispatched.is_some_and(|n| n > 0), "{}", q.design);
-    }
-}
-
-/// Scoped sweeps stay byte-deterministic, carry the hot-fraction digest,
-/// and never perturb the headline numbers of the run they observe
-/// (scoped metrics only attribute what the run already records).
-#[test]
-fn scoped_sweeps_are_deterministic_and_additive() {
-    let plain = first_quick_run("kvs_load");
-    let a = run_sweep("kvs_load", true, false, true).expect("scoped");
-    let b = run_sweep("kvs_load", true, false, true).expect("scoped");
-    assert_eq!(a.to_json_string(), b.to_json_string(), "same-seed scoped sweeps must match");
-    assert!(a.to_json_string().contains("hot_fraction"));
-    assert!(!plain.to_json_string().contains("hot_fraction"), "unscoped sweeps must omit the key");
-    for (p, q) in plain.points.iter().zip(&a.points) {
-        assert_eq!(p.throughput_ops, q.throughput_ops, "scoping perturbed {}", p.design);
-        assert_eq!(p.p99_ps, q.p99_ps, "scoping perturbed {}", p.design);
-        assert!(q.hot_fraction.is_some_and(|h| h > 0.0 && h <= 1.0), "{}", q.design);
     }
 }
 

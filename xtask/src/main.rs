@@ -27,16 +27,12 @@ Commands:
         R3  unsafe confined to crates/ring, each use documented with // SAFETY:
         R4  every pub item in rambda-des, rambda-metrics and rambda-trace documented
         R5  no println!/eprintln! outside src/bin drivers and the bench crate
-        R6  no deprecated runner shim may exist (SimBuilder is the sole run
-            entry point), and nothing in-tree still calls one
         R7  partition safety: no static mut / thread_local! / shared cells
             (Rc, RefCell, ...) reachable from a simulated machine
         R8  RNG provenance: every RNG flows from the workload seed via a
             salting call; no literal seeds, entropy sources, or clones
         R9  every counter published by publish_metrics appears in a
             validate_* conservation identity
-        R10 every counter published under the `scope.` or `hot.` prefix
-            appears in the validate_scopes identity specifically
       Violations can be allowlisted in xtask/analyze.allow (one per line:
       `RULE path token  # reason`; the reason is mandatory); stale entries
       are errors.

@@ -8,15 +8,14 @@
 //! that structure as the rules consume, and no more:
 //!
 //! * a flattened item list per file (structs/enums/unions/traits/fns/
-//!   impls/consts/statics/type aliases/macro invocations), each with its
-//!   attributes' raw text, doc status, visibility, `#[cfg(test)]`
+//!   impls/consts/statics/type aliases/`use` declarations/macro
+//!   invocations), each with its doc status, visibility, `#[cfg(test)]`
 //!   classification inherited through the module tree, and its token span;
 //! * struct fields with the identifiers appearing in their types (the
 //!   conservative type graph's edges);
-//! * `use`-tree resolution to `local name → path segments` within the file;
-//! * token masks (`test_mask`, `use_mask`) derived from the item tree, so
-//!   the token-level rules R1/R2/R5/R6 share one notion of "test code"
-//!   with the structural rules;
+//! * a token mask (`test_mask`) derived from the item tree, so the
+//!   token-level rules R1/R2/R5 share one notion of "test code" with the
+//!   structural rules;
 //! * a workspace-level [`TypeGraph`] with breadth-first reachability that
 //!   reports the access path (`Machine -> MemorySystem -> Dram`).
 //!
@@ -125,10 +124,6 @@ pub struct Item {
     pub in_test: bool,
     /// `static mut` (R7's most direct target).
     pub mutable: bool,
-    /// The raw source text of the item's attributes (empty if none).
-    pub attr_text: String,
-    /// Whether the attributes include `#[deprecated ...]`.
-    pub deprecated: bool,
     /// Token span `[start, end]` (inclusive) covering attributes through
     /// the closing brace or semicolon.
     pub span: (usize, usize),
@@ -136,17 +131,6 @@ pub struct Item {
     pub body: Option<(usize, usize)>,
     /// Struct/union fields, or the synthetic enum `variants` field.
     pub fields: Vec<Field>,
-}
-
-/// One resolved `use` binding: `use a::b::c as d;` → `d → [a, b, c]`.
-#[derive(Debug, Clone)]
-pub struct Import {
-    /// The name the binding introduces (`*` for glob imports).
-    pub local: String,
-    /// The full path segments.
-    pub path: Vec<String>,
-    /// 1-based line of the binding.
-    pub line: u32,
 }
 
 /// One fully parsed source file.
@@ -158,45 +142,29 @@ pub struct ParsedFile {
     pub crate_name: String,
     /// Whether the file is a `src/bin/` driver target.
     pub is_bin: bool,
-    /// The raw source (attribute text extraction, R6's note check).
-    pub source: String,
     /// The token stream.
     pub tokens: Vec<Token>,
     /// Per-token: inside a `#[cfg(test)]` item (inherited through mods).
     pub test_mask: Vec<bool>,
-    /// Per-token: part of a `use` declaration.
-    pub use_mask: Vec<bool>,
     /// Flattened items (nested items appear after their parents).
     pub items: Vec<Item>,
-    /// Resolved `use` bindings.
-    pub imports: Vec<Import>,
 }
 
 impl ParsedFile {
-    /// Parses `source` into tokens, masks and items.
-    pub fn parse(rel: &str, crate_name: &str, source: String) -> ParsedFile {
-        let tokens = lex(&source);
-        let mut p = Parser {
-            tokens: &tokens,
-            source: &source,
-            pos: 0,
-            items: Vec::new(),
-            imports: Vec::new(),
-            test_mask: vec![false; tokens.len()],
-            use_mask: vec![false; tokens.len()],
-        };
+    /// Parses `source` into tokens, the test mask and items.
+    pub fn parse(rel: &str, crate_name: &str, source: &str) -> ParsedFile {
+        let tokens = lex(source);
+        let mut p =
+            Parser { tokens: &tokens, pos: 0, items: Vec::new(), test_mask: vec![false; tokens.len()] };
         p.parse_items(false, None, None);
-        let (items, imports, test_mask, use_mask) = (p.items, p.imports, p.test_mask, p.use_mask);
+        let (items, test_mask) = (p.items, p.test_mask);
         ParsedFile {
             rel: rel.to_string(),
             crate_name: crate_name.to_string(),
             is_bin: rel.contains("/src/bin/"),
-            source,
             tokens,
             test_mask,
-            use_mask,
             items,
-            imports,
         }
     }
 
@@ -208,12 +176,9 @@ impl ParsedFile {
 
 struct Parser<'a> {
     tokens: &'a [Token],
-    source: &'a str,
     pos: usize,
     items: Vec<Item>,
-    imports: Vec<Import>,
     test_mask: Vec<bool>,
-    use_mask: Vec<bool>,
 }
 
 impl<'a> Parser<'a> {
@@ -315,8 +280,6 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         let mut docd = false;
         let mut cfg_test = false;
-        let mut deprecated = false;
-        let mut attr_text = String::new();
 
         // Preamble: doc comments and attributes, in any order.
         loop {
@@ -331,12 +294,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(TokenKind::Punct('#')) => {
-                    let attr_start = self.pos;
-                    let (saw_cfg_test, saw_doc, saw_deprecated) = self.consume_attribute();
+                    let (saw_cfg_test, saw_doc) = self.consume_attribute();
                     cfg_test |= saw_cfg_test;
                     docd |= saw_doc;
-                    deprecated |= saw_deprecated;
-                    self.append_attr_text(&mut attr_text, attr_start);
                 }
                 _ => break,
             }
@@ -360,20 +320,13 @@ impl<'a> Parser<'a> {
         // `const`/`static` may themselves head an item; look ahead.
         let line = self.peek().map_or(0, |t| t.line);
         let in_test = in_test || cfg_test;
-        let mut push = |p: &mut Parser<'a>, mut item: Item| {
+        let push = |p: &mut Parser<'a>, mut item: Item| {
             item.span = (start, p.pos.saturating_sub(1).max(start));
             item.vis = vis;
             item.docd = docd;
             item.in_test = in_test;
-            item.attr_text = std::mem::take(&mut attr_text);
-            item.deprecated = deprecated;
             if in_test {
                 for m in &mut p.test_mask[item.span.0..=item.span.1] {
-                    *m = true;
-                }
-            }
-            if item.kind == ItemKind::Use {
-                for m in &mut p.use_mask[item.span.0..=item.span.1] {
                     *m = true;
                 }
             }
@@ -612,13 +565,7 @@ impl<'a> Parser<'a> {
             }
             Some("use") => {
                 self.pos += 1;
-                let tree_start = self.pos;
                 self.skip_to_semi();
-                let bindings = parse_use_tree(&self.tokens[tree_start..self.pos]);
-                let line = self.tokens.get(tree_start).map_or(line, |t| t.line);
-                for (local, path) in bindings {
-                    self.imports.push(Import { local, path, line });
-                }
                 push(self, Item::new(ItemKind::Use, String::new(), line));
             }
             Some("macro_rules") => {
@@ -651,8 +598,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Consumes a `#[...]` or `#![...]` attribute starting at `#`. Returns
-    /// `(cfg(test) present, doc attribute, deprecated attribute)`.
-    fn consume_attribute(&mut self) -> (bool, bool, bool) {
+    /// `(cfg(test) present, doc attribute)`.
+    fn consume_attribute(&mut self) -> (bool, bool) {
         self.pos += 1; // '#'
         self.skip_comments();
         if self.at_punct('!') {
@@ -660,13 +607,12 @@ impl<'a> Parser<'a> {
             self.skip_comments();
         }
         if !self.at_punct('[') {
-            return (false, false, false);
+            return (false, false);
         }
         let mut depth = 0i32;
         let mut saw_cfg = false;
         let mut saw_test = false;
         let mut saw_doc = false;
-        let mut saw_deprecated = false;
         let mut first_ident = true;
         while let Some(t) = self.bump() {
             match &t.kind {
@@ -680,7 +626,6 @@ impl<'a> Parser<'a> {
                 TokenKind::Ident(s) => {
                     if first_ident {
                         saw_doc |= s == "doc";
-                        saw_deprecated |= s == "deprecated";
                         first_ident = false;
                     }
                     saw_cfg |= s == "cfg";
@@ -689,23 +634,7 @@ impl<'a> Parser<'a> {
                 _ => {}
             }
         }
-        (saw_cfg && saw_test, saw_doc, saw_deprecated)
-    }
-
-    /// Appends the raw source lines of an attribute (token `attr_start`
-    /// through the current position) to `out`.
-    fn append_attr_text(&mut self, out: &mut String, attr_start: usize) {
-        let (Some(first), Some(last)) =
-            (self.tokens.get(attr_start), self.tokens.get(self.pos.saturating_sub(1)))
-        else {
-            return;
-        };
-        let lo = first.line as usize;
-        let hi = last.end_line as usize;
-        for l in self.source.lines().skip(lo - 1).take(hi - lo + 1) {
-            out.push_str(l);
-            out.push('\n');
-        }
+        (saw_cfg && saw_test, saw_doc)
     }
 
     fn take_ident(&mut self) -> Option<String> {
@@ -925,8 +854,6 @@ impl Item {
             docd: false,
             in_test: false,
             mutable: false,
-            attr_text: String::new(),
-            deprecated: false,
             span: (0, 0),
             body: None,
             fields: Vec::new(),
@@ -966,72 +893,6 @@ pub fn render(tokens: &[Token]) -> String {
         }
     }
     out
-}
-
-/// Parses the token slice of a `use` tree (without the leading `use` and
-/// trailing `;`) into `(local name, path)` bindings. Globs bind `*`.
-fn parse_use_tree(tokens: &[Token]) -> Vec<(String, Vec<String>)> {
-    let sig: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    walk_use(&sig, &mut pos, &mut Vec::new(), &mut out);
-    out
-}
-
-fn walk_use(sig: &[&Token], pos: &mut usize, prefix: &mut Vec<String>, out: &mut Vec<(String, Vec<String>)>) {
-    let depth_at_entry = prefix.len();
-    loop {
-        match sig.get(*pos).map(|t| &t.kind) {
-            Some(TokenKind::Ident(s)) => {
-                let s = s.clone();
-                *pos += 1;
-                // `a as b`?
-                if sig.get(*pos).and_then(|t| t.ident()) == Some("as") {
-                    // handled below after path accumulation
-                }
-                prefix.push(s);
-                match sig.get(*pos).map(|t| &t.kind) {
-                    Some(TokenKind::Punct(':')) if sig.get(*pos + 1).is_some_and(|t| t.is_punct(':')) => {
-                        *pos += 2;
-                        continue; // more segments
-                    }
-                    Some(TokenKind::Ident(k)) if k == "as" => {
-                        *pos += 1;
-                        let alias = sig.get(*pos).and_then(|t| t.ident()).unwrap_or("_").to_string();
-                        *pos += 1;
-                        out.push((alias, prefix.clone()));
-                        prefix.truncate(depth_at_entry);
-                    }
-                    _ => {
-                        let local = prefix.last().cloned().unwrap_or_default();
-                        out.push((local, prefix.clone()));
-                        prefix.truncate(depth_at_entry);
-                    }
-                }
-            }
-            Some(TokenKind::Punct('{')) => {
-                *pos += 1;
-                walk_use(sig, pos, prefix, out);
-                if sig.get(*pos).is_some_and(|t| t.is_punct('}')) {
-                    *pos += 1;
-                }
-                prefix.truncate(depth_at_entry);
-            }
-            Some(TokenKind::Punct('*')) => {
-                *pos += 1;
-                out.push(("*".to_string(), prefix.clone()));
-                prefix.truncate(depth_at_entry);
-            }
-            Some(TokenKind::Punct(',')) => {
-                *pos += 1;
-                prefix.truncate(depth_at_entry);
-            }
-            Some(TokenKind::Punct('}')) | None => return,
-            _ => {
-                *pos += 1;
-            }
-        }
-    }
 }
 
 /// The workspace-level conservative type graph: `struct A { f: B }` puts an
@@ -1126,7 +987,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        ParsedFile::parse("crates/kvs/src/lib.rs", "kvs", src.to_string())
+        ParsedFile::parse("crates/kvs/src/lib.rs", "kvs", src)
     }
 
     #[test]
@@ -1191,16 +1052,12 @@ mod tests {
     }
 
     #[test]
-    fn use_trees_resolve() {
-        let f = parse("use rambda_des::{SimRng, SimTime as T};\nuse std::fmt;\nuse a::b::*;");
-        let find = |local: &str| f.imports.iter().find(|i| i.local == local).map(|i| i.path.join("::"));
-        assert_eq!(find("SimRng").as_deref(), Some("rambda_des::SimRng"));
-        assert_eq!(find("T").as_deref(), Some("rambda_des::SimTime"));
-        assert_eq!(find("fmt").as_deref(), Some("std::fmt"));
-        assert_eq!(find("*").as_deref(), Some("a::b"));
-        // use tokens are masked for the R6 caller scan.
-        let sr = f.tokens.iter().position(|t| t.ident() == Some("SimRng")).unwrap();
-        assert!(f.use_mask[sr]);
+    fn use_declarations_parse_as_items() {
+        let f = parse("use rambda_des::{SimRng, SimTime as T};\nuse a::b::*;\npub fn after() {}");
+        let uses: Vec<u32> = f.items.iter().filter(|i| i.kind == ItemKind::Use).map(|i| i.line).collect();
+        assert_eq!(uses, vec![1, 2]);
+        // A use tree's braces do not swallow the item after it.
+        assert!(f.items.iter().any(|i| i.name == "after" && i.kind == ItemKind::Fn && i.line == 3));
     }
 
     #[test]
@@ -1210,14 +1067,6 @@ mod tests {
         assert_eq!(f.items.iter().find(|i| i.name == "X").unwrap().kind, ItemKind::Const);
         assert_eq!(f.items.iter().find(|i| i.name == "f").unwrap().kind, ItemKind::Fn);
         assert_eq!(f.items.iter().find(|i| i.name == "g").unwrap().kind, ItemKind::Fn);
-    }
-
-    #[test]
-    fn deprecated_attr_text_is_captured() {
-        let f = parse("#[deprecated(note = \"use SimBuilder with Design::kvs\")]\npub fn run_old() {}");
-        let i = &f.items[0];
-        assert!(i.deprecated);
-        assert!(i.attr_text.contains("use SimBuilder"));
     }
 
     #[test]

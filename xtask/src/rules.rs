@@ -1,6 +1,7 @@
 //! The analyzer's rule engine.
 //!
-//! Ten rules, each enforcing one repo invariant (DESIGN.md §8 and §13):
+//! Eight rules, each enforcing one repo invariant (DESIGN.md §8 and §13).
+//! R6 and R10 are retired; the other rules keep their ids:
 //!
 //! * **R1** — no `HashMap`/`HashSet` in simulation crates: their iteration
 //!   order is randomized per process and can leak into event ordering and
@@ -19,10 +20,6 @@
 //! * **R5** — no `println!` / `eprintln!` (nor `print!` / `eprint!`)
 //!   outside driver binaries: a simulation reports through `RunReport` and
 //!   the flight recorder, never by writing to the terminal mid-run.
-//! * **R6** — no `#[deprecated]` runner shim may exist, and no in-tree
-//!   code still calls one: the legacy `run_*_report` entry points are
-//!   deleted outright, `SimBuilder` is the sole run entry point, and a
-//!   fresh deprecation cycle would silently reopen the double-API surface.
 //! * **R7** — partition safety: no `static mut`, no `thread_local!`, and
 //!   no shared-ownership / interior-mutability cell (`Rc`, `RefCell`,
 //!   `Cell`, ...) on a type reachable from a simulated machine through the
@@ -38,25 +35,17 @@
 //!   publishes from `publish_metrics` into the `MetricSet` must appear in
 //!   some `validate_*` conservation identity in the metrics crate, so new
 //!   counters can't land unguarded.
-//! * **R10** — scope coverage: every counter published under the `scope.`
-//!   or `hot.` prefix (the scoped-metrics mirrors, DESIGN.md §15) must
-//!   appear in the dedicated `validate_scopes` identity specifically —
-//!   coverage by some other `validate_*` function does not count, because
-//!   only the scope conservation identities actually cross-check the
-//!   rollup and sketch invariants those mirrors summarize.
 //!
 //! R1, R2, R4, R5, R7 and R8 skip `#[cfg(test)]` modules: a test may model
 //! against a `HashMap`, spawn threads, seed an RNG literally, or print
 //! diagnostics without affecting simulation output. R1, R2, R5, R7 and R8
 //! also skip `src/bin/` targets — a driver binary is ordinary host code
 //! that may read flags and write files. R3 is enforced everywhere —
-//! undocumented `unsafe` in a test is still a bug. R6 skips test modules
-//! and `use` statements (re-exporting a shim keeps it reachable without
-//! endorsing it) and allows calls within the defining file.
+//! undocumented `unsafe` in a test is still a bug.
 //!
-//! R1–R5 operate on the token stream; R6–R10 consume the item-level parse
-//! layer ([`crate::parse`]): declarations, attribute text, `impl`
-//! membership, struct fields and the workspace type graph. Both views come
+//! R1–R5 operate on the token stream; R7–R9 consume the item-level parse
+//! layer ([`crate::parse`]): declarations, `impl` membership, function
+//! bodies, struct fields and the workspace type graph. Both views come
 //! from the same [`ParsedFile`], so "test code" means the same thing to
 //! every rule.
 //!
@@ -64,7 +53,6 @@
 //! must carry a trailing `# reason` comment, and stale entries (matching
 //! nothing) are themselves errors so the file stays honest.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -93,10 +81,10 @@ pub struct Config {
     /// reachability walk and the partition boundary R8 guards.
     pub machine_type: String,
     /// Crate directory names whose `publish_metrics` counter suffixes R9
-    /// and R10 collect.
+    /// collects.
     pub stats_crates: Vec<String>,
-    /// Crate directory names whose `validate_*` functions R9 and R10
-    /// search for conservation identities.
+    /// Crate directory names whose `validate_*` functions R9 searches for
+    /// conservation identities.
     pub identity_crates: Vec<String>,
     /// Path to the allowlist file, relative to `root`.
     pub allowlist: PathBuf,
@@ -142,7 +130,7 @@ impl Config {
 /// One rule violation, pointing at `path:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`R1`..`R10`).
+    /// Rule id (`R1`..`R9`).
     pub rule: &'static str,
     /// Path relative to the workspace root, with `/` separators.
     pub path: String,
@@ -260,7 +248,7 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
             files_scanned += 1;
             let rel = rel_path(&cfg.root, file);
             let source = fs::read_to_string(file)?;
-            let pf = ParsedFile::parse(&rel, &crate_name, source);
+            let pf = ParsedFile::parse(&rel, &crate_name, &source);
             let is_lib_rs =
                 file.file_name().is_some_and(|n| n == "lib.rs") && file.parent().is_some_and(|p| p == src);
             saw_lib_rs |= is_lib_rs;
@@ -292,10 +280,8 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
         }
     }
 
-    rule_r6(&parsed, &mut violations);
     rule_r7(cfg, &parsed, &mut violations);
     rule_r9(cfg, &parsed, &mut violations);
-    rule_r10(cfg, &parsed, &mut violations);
 
     // Apply the allowlist.
     let allow_path = cfg.root.join(&cfg.allowlist);
@@ -424,60 +410,6 @@ fn rule_r5(f: &ParsedFile, out: &mut Vec<Violation>) {
                 line: mac.line,
                 token: format!("{name}!"),
                 hint: "simulation crates stay silent; print from a src/bin driver or the bench tables"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// R6: no deprecated runner shim may exist — `SimBuilder` is the sole run
-/// entry point — and nothing in-tree still calls a name that is shimmed.
-///
-/// Two passes over the parse layer. The first flags every
-/// `#[deprecated] pub fn` item outright: the legacy `run_*_report` era is
-/// over, and a new deprecation cycle would reopen the double-API surface
-/// `SimBuilder` retired. The second flags any identifier use of a flagged
-/// name outside its defining file(s), skipping test modules and `use`
-/// statements, so stragglers surface even if the definition is
-/// allowlisted during a migration.
-fn rule_r6(files: &[ParsedFile], out: &mut Vec<Violation>) {
-    // name -> files defining a deprecated fn of that name.
-    let mut deprecated: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-
-    for f in files {
-        for item in &f.items {
-            if item.kind != ItemKind::Fn || item.vis != Vis::Pub || !item.deprecated || item.in_test {
-                continue;
-            }
-            out.push(Violation {
-                rule: "R6",
-                path: f.rel.clone(),
-                line: f.tokens[item.span.0].line,
-                token: item.name.clone(),
-                hint: "deprecated runner shims are retired; delete the shim — SimBuilder::new(Design::...)\
-                       .run() is the only run entry point"
-                    .to_string(),
-            });
-            deprecated.entry(&item.name).or_default().push(&f.rel);
-        }
-    }
-
-    for f in files {
-        for (i, t) in f.tokens.iter().enumerate() {
-            if f.test_mask[i] || f.use_mask[i] {
-                continue;
-            }
-            let Some(name) = t.ident() else { continue };
-            let Some(defs) = deprecated.get(name) else { continue };
-            if defs.iter().any(|d| *d == f.rel) {
-                continue;
-            }
-            out.push(Violation {
-                rule: "R6",
-                path: f.rel.clone(),
-                line: t.line,
-                token: name.to_string(),
-                hint: "this runner is deprecated; build the run with SimBuilder::new(Design::...).run()"
                     .to_string(),
             });
         }
@@ -714,7 +646,7 @@ fn call_args<'a>(sig: &[(usize, &'a Token)], open: usize) -> Vec<&'a Token> {
 }
 
 /// One counter suffix published from a stats crate's `publish_metrics`,
-/// with the location the diagnostic points at. Shared by R9 and R10.
+/// with the location the diagnostic points at.
 struct Published {
     rel: String,
     line: u32,
@@ -722,7 +654,7 @@ struct Published {
 }
 
 /// Collects every `m.set("...")` counter suffix inside `publish_metrics`
-/// functions of the stats crates (the shared front half of R9 and R10).
+/// functions of the stats crates (R9's front half).
 fn collect_published(cfg: &Config, files: &[ParsedFile]) -> Vec<Published> {
     let mut published: Vec<Published> = Vec::new();
     for f in files.iter().filter(|f| cfg.stats_crates.contains(&f.crate_name)) {
@@ -774,13 +706,12 @@ fn collect_published(cfg: &Config, files: &[ParsedFile]) -> Vec<Published> {
 }
 
 /// Collects every suffix-like string literal inside identity-crate
-/// validator functions whose name satisfies `accept` (the shared back half
-/// of R9 and R10).
-fn collect_covered(cfg: &Config, files: &[ParsedFile], accept: impl Fn(&str) -> bool) -> Vec<String> {
+/// `validate_*` functions (R9's back half).
+fn collect_covered(cfg: &Config, files: &[ParsedFile]) -> Vec<String> {
     let mut covered: Vec<String> = Vec::new();
     for f in files.iter().filter(|f| cfg.identity_crates.contains(&f.crate_name)) {
         for item in &f.items {
-            if item.kind != ItemKind::Fn || !accept(&item.name) || item.in_test {
+            if item.kind != ItemKind::Fn || !item.name.starts_with("validate") || item.in_test {
                 continue;
             }
             let Some((b0, b1)) = item.body else { continue };
@@ -809,7 +740,7 @@ fn covers(covered: &[String], suffix: &str) -> bool {
 /// counters by suffix, so an unmentioned suffix is an unguarded counter.
 fn rule_r9(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
     let published = collect_published(cfg, files);
-    let covered = collect_covered(cfg, files, |name| name.starts_with("validate"));
+    let covered = collect_covered(cfg, files);
     for p in &published {
         if !covers(&covered, &p.suffix) {
             out.push(Violation {
@@ -820,32 +751,6 @@ fn rule_r9(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
                 hint: format!(
                     "counter `{}` is published into the MetricSet but no validate_* conservation \
                      identity mentions it; add one to the metrics report validation",
-                    p.suffix
-                ),
-            });
-        }
-    }
-}
-
-/// R10: scope coverage. Every counter published under the `scope.` / `hot.`
-/// prefixes (the scoped-metrics mirrors) must appear in the dedicated
-/// `validate_scopes` identity — being mentioned by some other `validate_*`
-/// function satisfies R9 but not R10, because only `validate_scopes`
-/// cross-checks the per-scope rollup and hot-key sketch invariants those
-/// mirrors summarize.
-fn rule_r10(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
-    let published = collect_published(cfg, files);
-    let covered = collect_covered(cfg, files, |name| name == "validate_scopes");
-    for p in published.iter().filter(|p| p.suffix.starts_with("scope.") || p.suffix.starts_with("hot.")) {
-        if !covers(&covered, &p.suffix) {
-            out.push(Violation {
-                rule: "R10",
-                path: p.rel.clone(),
-                line: p.line,
-                token: p.suffix.clone(),
-                hint: format!(
-                    "scoped-metrics mirror `{}` is published into the MetricSet but validate_scopes \
-                     never mentions it; extend the scope conservation identities",
                     p.suffix
                 ),
             });
@@ -995,7 +900,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        ParsedFile::parse("test.rs", "kvs", src.to_string())
+        ParsedFile::parse("test.rs", "kvs", src)
     }
 
     fn run_rule<F>(src: &str, f: F) -> Vec<Violation>
@@ -1033,7 +938,7 @@ mod tests {
 
     fn run_r3(src: &str, crate_name: &str, is_lib: bool) -> Vec<Violation> {
         let cfg = Config::rambda(PathBuf::from("."));
-        let pf = ParsedFile::parse("test.rs", crate_name, src.to_string());
+        let pf = ParsedFile::parse("test.rs", crate_name, src);
         let mut out = Vec::new();
         rule_r3_file(&cfg, crate_name, is_lib, &pf, &mut out);
         out
@@ -1104,55 +1009,7 @@ mod tests {
 
     fn parsed(rel: &str, src: &str) -> ParsedFile {
         let crate_name = rel.split('/').nth(1).unwrap_or("kvs");
-        ParsedFile::parse(rel, crate_name, src.to_string())
-    }
-
-    #[test]
-    fn r6_flags_every_deprecated_shim_definition() {
-        // Even a well-routed note no longer saves a shim: the deprecation
-        // cycle is over and the definition itself is the violation.
-        let routed = parsed(
-            "crates/kvs/src/designs.rs",
-            "#[deprecated(note = \"use SimBuilder with Design::kvs_rambda\")]\npub fn run_old() {}",
-        );
-        let mut out = Vec::new();
-        rule_r6(&[routed], &mut out);
-        assert_eq!(out.len(), 1, "a shim definition must trip R6: {out:?}");
-        assert_eq!(out[0].rule, "R6");
-        assert_eq!(out[0].token, "run_old");
-        assert!(out[0].hint.contains("delete the shim"), "{}", out[0].hint);
-
-        // Non-shim deprecations outside the pattern stay out of scope: a
-        // private fn, or one inside a test module.
-        let exempt = parsed(
-            "crates/kvs/src/designs.rs",
-            "#[deprecated]\nfn private_old() {}\n#[cfg(test)]\nmod t { #[deprecated]\npub fn test_old() {} }",
-        );
-        let mut out = Vec::new();
-        rule_r6(&[exempt], &mut out);
-        assert!(out.is_empty(), "private and test-module fns are exempt: {out:?}");
-    }
-
-    #[test]
-    fn r6_flags_external_callers_but_not_reexports_or_tests() {
-        let def = parsed(
-            "crates/kvs/src/designs.rs",
-            "#[deprecated(note = \"use SimBuilder\")]\npub fn run_old() {}\nfn helper() { run_old(); }",
-        );
-        let reexport = parsed(
-            "crates/kvs/src/lib.rs",
-            "#[allow(deprecated)]\npub use designs::run_old;\n#[cfg(test)]\nmod t { fn f() { run_old(); } }",
-        );
-        let caller = parsed("crates/bench/src/harness.rs", "fn sweep() { let r = run_old(); }");
-        let mut out = Vec::new();
-        rule_r6(&[def, reexport, caller], &mut out);
-        // The definition itself plus the one live external caller; the
-        // re-export, the test-module call, and the same-file helper stay
-        // exempt.
-        assert_eq!(out.len(), 2, "definition + live external caller: {out:?}");
-        assert_eq!(out[0].path, "crates/kvs/src/designs.rs");
-        assert_eq!(out[1].path, "crates/bench/src/harness.rs");
-        assert_eq!(out[1].token, "run_old");
+        ParsedFile::parse(rel, crate_name, src)
     }
 
     fn run_cross<F>(files: Vec<ParsedFile>, f: F) -> Vec<Violation>
@@ -1323,54 +1180,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].token, "dwell_ps");
         assert_eq!(v[0].path, "crates/metrics/src/event_core.rs");
-    }
-
-    #[test]
-    fn r10_scope_mirrors_need_validate_scopes_specifically() {
-        // `scope.count` is covered by a generic validate_* fn — enough for
-        // R9, but R10 demands validate_scopes itself.
-        let publisher = parsed(
-            "crates/metrics/src/scope.rs",
-            "impl S { pub fn publish_metrics(&self, m: &mut M) {\n\
-             m.set(\"scope.count\", self.n);\n\
-             m.set(\"hot.observed\", self.o);\n } }",
-        );
-        let elsewhere = parsed(
-            "crates/metrics/src/report.rs",
-            "impl R { fn validate_other(&self) { let c = self.counter(\"scope.count\"); } }",
-        );
-        let v = run_cross(vec![publisher, elsewhere], rule_r10);
-        let tokens: Vec<&str> = v.iter().map(|v| v.token.as_str()).collect();
-        assert!(tokens.contains(&"scope.count"), "generic coverage must not satisfy R10: {v:?}");
-        assert!(tokens.contains(&"hot.observed"), "{v:?}");
-        assert_eq!(v.len(), 2, "{v:?}");
-
-        // The same mirrors mentioned inside validate_scopes pass.
-        let publisher = parsed(
-            "crates/metrics/src/scope.rs",
-            "impl S { pub fn publish_metrics(&self, m: &mut M) {\n\
-             m.set(\"scope.count\", self.n);\n\
-             m.set(\"hot.observed\", self.o);\n } }",
-        );
-        let guarded = parsed(
-            "crates/metrics/src/report.rs",
-            "impl R { fn validate_scopes(&self) { let _ = (\"scope.count\", \"hot.observed\"); } }",
-        );
-        let v = run_cross(vec![publisher, guarded], rule_r10);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn r10_ignores_unprefixed_counters() {
-        // Counters outside the scope./hot. namespaces are R9's business,
-        // never R10's — even when completely unguarded.
-        let publisher = parsed(
-            "crates/rnic/src/endpoint.rs",
-            "impl E { pub fn publish_metrics(&self, m: &mut M, p: &str) {\n\
-             m.set(&format!(\"{p}.doorbells\"), self.d);\n } }",
-        );
-        let v = run_cross(vec![publisher], rule_r10);
-        assert!(v.is_empty(), "unprefixed counters are out of scope: {v:?}");
     }
 
     #[test]
