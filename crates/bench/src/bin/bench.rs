@@ -28,15 +28,12 @@ use rambda_bench::harness::{compare, is_gating, run_sweep, sweep_names, SweepRes
 use rambda_metrics::Json;
 
 const USAGE: &str = "\
-Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-             [--profile] [--list]
+Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH] [--list]
 
   --quick          CI-sized runs (the committed baselines are quick-mode)
   --sweep NAME     run only the named sweep (repeatable; default: all)
   --out DIR        artifact directory (default: bench/out)
   --compare PATH   baseline dir or file to gate against; regressions exit 1
-  --profile        run each point under the deterministic profiler; sweep
-                   JSON and tables gain an event-core dispatch row
   --list           print the defined sweep names and exit
 ";
 
@@ -45,22 +42,14 @@ struct Args {
     sweeps: Vec<String>,
     out: PathBuf,
     compare: Option<PathBuf>,
-    profile: bool,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        quick: false,
-        sweeps: Vec::new(),
-        out: PathBuf::from("bench/out"),
-        compare: None,
-        profile: false,
-    };
+    let mut args = Args { quick: false, sweeps: Vec::new(), out: PathBuf::from("bench/out"), compare: None };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--profile" => args.profile = true,
             "--sweep" => {
                 let name = it.next().ok_or("--sweep requires a name")?;
                 if !sweep_names().contains(&name.as_str()) {
@@ -123,7 +112,7 @@ fn main() -> ExitCode {
     let mut profile = Json::obj();
     for sweep in &args.sweeps {
         let started = Instant::now();
-        let result = match run_sweep(sweep, args.quick, args.profile) {
+        let result = match run_sweep(sweep, args.quick) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: sweep {sweep}: {e}");

@@ -14,8 +14,7 @@
 //! <name|all>`, default `kvs.rambda`) in profile mode, with the flight
 //! recorder attached to cross-validate the run against its report, and
 //! writes `<name>.profile.json` (the profiled run report, event-core
-//! section included; deterministic) plus a shared `host.folded`
-//! (wall-clock flamegraph input, non-deterministic).
+//! section included; deterministic).
 //!
 //! With `--loss <rate>` a seeded lossy fault plan is injected into the
 //! fabric. In headline mode this prints a clean-vs-lossy comparison of the
@@ -37,7 +36,7 @@ use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{Json, RunReport};
 use rambda_power::{kop_per_watt, Design as PowerDesign, PowerConfig};
-use rambda_trace::{HostProf, Tracer};
+use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
@@ -359,41 +358,25 @@ fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &F
 }
 
 /// Runs the selected runner(s) in profile mode under the flight recorder,
-/// exits 1 if a trace disagrees with its run report, and writes one artifact
-/// per runner plus one per invocation:
-///
-/// * `<name>.profile.json` — the profiled run report (its `event_core`
-///   section carries the scheduler telemetry); byte-identical across
-///   same-seed runs.
-/// * `host.folded` — folded-stack wall-clock attribution across all
-///   profiled runners (`<name>;<phase> <ns>` lines for `flamegraph.pl`);
-///   non-deterministic by nature, git-ignored, never golden-tested.
+/// exits 1 if a trace disagrees with its run report, and writes one
+/// `<name>.profile.json` per runner: the profiled run report (its
+/// `event_core` section carries the scheduler telemetry), byte-identical
+/// across same-seed runs.
 fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     fs::create_dir_all(dir).expect("create profile output dir");
-    // The wall-clock side: `Instant` is fine here (binaries are exempt from
-    // the determinism rules); the sim crates only ever see the closure.
-    let t0 = std::time::Instant::now();
-    let mut prof = HostProf::new(move || t0.elapsed().as_nanos() as u64);
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
         let mut tracer = Tracer::flight_recorder();
-        let report = prof.time(&format!("{name};run"), || {
-            SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run()
-        });
-        prof.time(&format!("{name};validate"), || {
-            report.validate().expect("inconsistent run report");
-            if let Err(e) = tracer.cross_validate(&report) {
-                eprintln!("{name}: trace/report cross-validation failed: {e}");
-                exit(1);
-            }
-        });
-        let doc = prof.time(&format!("{name};render"), || report.to_json_string());
-        fs::write(format!("{dir}/{name}.profile.json"), &doc).expect("write profile json");
+        let report = SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run();
+        report.validate().expect("inconsistent run report");
+        if let Err(e) = tracer.cross_validate(&report) {
+            eprintln!("{name}: trace/report cross-validation failed: {e}");
+            exit(1);
+        }
+        fs::write(format!("{dir}/{name}.profile.json"), report.to_json_string()).expect("write profile json");
         let dispatched = report.event_core.as_ref().map_or(0, |ec| ec.dispatched);
         println!("{name}: {dispatched} events dispatched, profile -> {dir}/{name}.profile.json");
     }
-    fs::write(format!("{dir}/host.folded"), prof.export_folded()).expect("write folded stacks");
-    println!("Wall-clock attribution (non-deterministic): {dir}/host.folded");
 }
 
 /// Renders a run report's critical-path stage breakdown as a table.

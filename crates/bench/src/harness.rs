@@ -97,11 +97,6 @@ pub struct BenchPoint {
     pub peak_window_p99_ps: u64,
     /// Largest per-window utilization across all resources.
     pub peak_utilization: f64,
-    /// Events dispatched by the run's event core (scheduler telemetry);
-    /// `None` unless the sweep ran with `--profile`. Omitted from the JSON
-    /// when `None`, so baselines written before the profiler existed stay
-    /// byte-identical.
-    pub events_dispatched: Option<u64>,
 }
 
 impl BenchPoint {
@@ -129,7 +124,6 @@ impl BenchPoint {
             window_completed: tl.windows.iter().map(|w| w.count).collect(),
             peak_window_p99_ps: tl.peak_p99_ps(),
             peak_utilization: tl.peak_utilization(),
-            events_dispatched: None,
         })
     }
 
@@ -148,9 +142,6 @@ impl BenchPoint {
         o.push("window_completed", Json::Arr(self.window_completed.iter().map(|&v| Json::U64(v)).collect()));
         o.push("peak_window_p99_ps", Json::U64(self.peak_window_p99_ps));
         o.push("peak_utilization", Json::F64(self.peak_utilization));
-        if let Some(dispatched) = self.events_dispatched {
-            o.push("events_dispatched", Json::U64(dispatched));
-        }
         o
     }
 
@@ -169,39 +160,23 @@ impl BenchPoint {
             window_completed: get_u64_arr(j, "window_completed")?,
             peak_window_p99_ps: get_u64(j, "peak_window_p99_ps")?,
             peak_utilization: get_f64(j, "peak_utilization")?,
-            events_dispatched: match j.get("events_dispatched") {
-                Some(Json::U64(v)) => Some(*v),
-                _ => None,
-            },
         })
     }
 }
 
-/// Runs one sweep point, optionally under the deterministic profiler.
-///
-/// With `profile` set, the run carries the builder's `profile()` telemetry
-/// and the point records the event core's dispatch count. Profiling only
-/// observes — it never perturbs the simulated events — so the headline
-/// numbers are identical either way.
+/// Runs one sweep point, optionally under a fault plan.
 fn run_point(
     design: Design,
     name: &str,
     x: &str,
     tb: &Testbed,
     faults: Option<FaultConfig>,
-    profile: bool,
 ) -> Result<BenchPoint, String> {
     let mut builder = SimBuilder::new(design).config(tb);
     if let Some(f) = faults {
         builder = builder.faults(f);
     }
-    if profile {
-        builder = builder.profile();
-    }
-    let report = builder.run();
-    let mut point = BenchPoint::from_report(name, x, &report)?;
-    point.events_dispatched = report.event_core.as_ref().map(|ec| ec.dispatched);
-    Ok(point)
+    BenchPoint::from_report(name, x, &builder.run())
 }
 
 /// A complete sweep: its identity, mode, tolerance, and curve points.
@@ -261,30 +236,20 @@ impl SweepResult {
     }
 
     /// Renders the sweep as an ASCII table with a per-run throughput
-    /// sparkline (completions per timeline window). Profiled sweeps gain
-    /// an event-dispatch column.
+    /// sparkline (completions per timeline window).
     pub fn render_table(&self) -> String {
-        let profiled = self.points.iter().any(|p| p.events_dispatched.is_some());
-        let mut headers = vec!["design", "x", "Mops", "p50 us", "p99 us", "peak util"];
-        if profiled {
-            headers.push("events");
-        }
-        headers.push("throughput/window");
+        let headers = ["design", "x", "Mops", "p50 us", "p99 us", "peak util", "throughput/window"];
         let mut t = Table::new(&format!("{} [{}]", self.sweep, self.mode), &headers);
         for p in &self.points {
-            let mut cells = vec![
+            t.row(vec![
                 p.design.clone(),
                 p.x.clone(),
                 format!("{:.3}", p.throughput_ops / 1.0e6),
                 format!("{:.2}", p.p50_ps as f64 / 1.0e6),
                 format!("{:.2}", p.p99_ps as f64 / 1.0e6),
                 format!("{:.2}", p.peak_utilization),
-            ];
-            if profiled {
-                cells.push(p.events_dispatched.map_or_else(|| "-".to_string(), |n| n.to_string()));
-            }
-            cells.push(sparkline(&p.window_completed));
-            t.row(cells);
+                sparkline(&p.window_completed),
+            ]);
         }
         t.render()
     }
@@ -360,22 +325,20 @@ pub fn is_gating(name: &str) -> bool {
     name != "faults_sweep"
 }
 
-/// Runs one sweep end to end. With `profile` set, every point also runs
-/// the deterministic profiler (an event-core row in the sweep JSON and
-/// table).
+/// Runs one sweep end to end.
 ///
 /// # Errors
 ///
 /// Returns an unknown-sweep message (listing valid names), or the first
 /// report that failed its telemetry validation.
-pub fn run_sweep(name: &str, quick: bool, profile: bool) -> Result<SweepResult, String> {
+pub fn run_sweep(name: &str, quick: bool) -> Result<SweepResult, String> {
     let mode = if quick { "quick" } else { "full" };
     let points = match name {
-        "micro_designs" => micro_designs(quick, profile)?,
-        "kvs_load" => kvs_load(quick, profile)?,
-        "txn_latency" => txn_latency(quick, profile)?,
-        "dlrm_load" => dlrm_load(quick, profile)?,
-        "faults_sweep" => faults_sweep(quick, profile)?,
+        "micro_designs" => micro_designs(quick)?,
+        "kvs_load" => kvs_load(quick)?,
+        "txn_latency" => txn_latency(quick)?,
+        "dlrm_load" => dlrm_load(quick)?,
+        "faults_sweep" => faults_sweep(quick)?,
         other => return Err(format!("unknown sweep `{other}` — valid sweeps: {}", sweep_names().join(", "))),
     };
     let tolerance = Tolerance { max_throughput_drop: 0.05, max_p99_rise: 0.10 };
@@ -384,7 +347,7 @@ pub fn run_sweep(name: &str, quick: bool, profile: bool) -> Result<SweepResult, 
 
 /// Fig. 7-style design comparison: CPU core scaling vs. the Rambda
 /// variants on the pointer-chase microbenchmark.
-fn micro_designs(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
+fn micro_designs(quick: bool) -> Result<Vec<BenchPoint>, String> {
     let tb = Testbed::default();
     let p = if quick {
         micro::MicroParams { requests: 6_000, ..micro::MicroParams::quick() }
@@ -393,14 +356,7 @@ fn micro_designs(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> 
     };
     let mut points = Vec::new();
     for cores in [1usize, 8, 16] {
-        points.push(run_point(
-            Design::micro_cpu(p, cores, 16),
-            &format!("cpu-{cores}"),
-            "micro",
-            &tb,
-            None,
-            profile,
-        )?);
+        points.push(run_point(Design::micro_cpu(p, cores, 16), &format!("cpu-{cores}"), "micro", &tb, None)?);
     }
     let variants: [(&str, DataLocation, bool); 4] = [
         ("rambda-polling", DataLocation::HostDram, false),
@@ -409,20 +365,13 @@ fn micro_designs(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> 
         ("rambda-lh", DataLocation::LocalHbm, true),
     ];
     for (design, location, cpoll) in variants {
-        points.push(run_point(
-            Design::micro_rambda(p, location, cpoll, 1),
-            design,
-            "micro",
-            &tb,
-            None,
-            profile,
-        )?);
+        points.push(run_point(Design::micro_rambda(p, location, cpoll, 1), design, "micro", &tb, None)?);
     }
     Ok(points)
 }
 
 /// Fig. 9-style KVS offered-load sweep: per-client pipeline window × design.
-fn kvs_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
+fn kvs_load(quick: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     let tb = Testbed::default();
     let base = if quick { KvsParams { requests: 8_000, ..KvsParams::quick() } } else { KvsParams::paper() };
@@ -430,23 +379,22 @@ fn kvs_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     for window in [1usize, 4, 16] {
         let p = KvsParams { window, ..base.clone() };
         let x = format!("window={window}");
-        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None, profile)?);
+        points.push(run_point(Design::kvs_cpu(p.clone()), "cpu", &x, &tb, None)?);
         points.push(run_point(
             Design::kvs_rambda(p.clone(), DataLocation::HostDram),
             "rambda",
             &x,
             &tb,
             None,
-            profile,
         )?);
-        points.push(run_point(Design::kvs_smartnic(p.clone()), "smartnic", &x, &tb, None, profile)?);
+        points.push(run_point(Design::kvs_smartnic(p.clone()), "smartnic", &x, &tb, None)?);
     }
     Ok(points)
 }
 
 /// Fig. 12-style replicated-transaction comparison: HyperLoop chain vs.
 /// Rambda-Tx, for write-only and read-write transactions.
-fn txn_latency(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
+fn txn_latency(quick: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
     let specs: [(&str, TxnSpec); 2] =
@@ -455,14 +403,14 @@ fn txn_latency(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
     for (x, spec) in specs {
         let p =
             if quick { TxnParams { txns: 1_500, ..TxnParams::quick(spec) } } else { TxnParams::paper(spec) };
-        points.push(run_point(Design::txn_hyperloop(p.clone()), "hyperloop", x, &tb, None, profile)?);
-        points.push(run_point(Design::txn_rambda_tx(p.clone()), "rambda_tx", x, &tb, None, profile)?);
+        points.push(run_point(Design::txn_hyperloop(p.clone()), "hyperloop", x, &tb, None)?);
+        points.push(run_point(Design::txn_rambda_tx(p.clone()), "rambda_tx", x, &tb, None)?);
     }
     Ok(points)
 }
 
 /// Fig. 13-style DLRM serving comparison on the Books embedding profile.
-fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
+fn dlrm_load(quick: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_dlrm::{DlrmDesigns, DlrmParams};
     let tb = Testbed::default();
     let embeddings = DlrmProfile::by_name("Books").ok_or("Books DLRM profile missing")?;
@@ -479,7 +427,6 @@ fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
             "Books",
             &tb,
             None,
-            profile,
         )?);
     }
     points.push(run_point(
@@ -488,7 +435,6 @@ fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
         "Books",
         &tb,
         None,
-        profile,
     )?);
     points.push(run_point(
         Design::dlrm_rambda(p.clone(), DataLocation::LocalHbm),
@@ -496,7 +442,6 @@ fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
         "Books",
         &tb,
         None,
-        profile,
     )?);
     Ok(points)
 }
@@ -505,7 +450,7 @@ fn dlrm_load(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
 /// Rambda designs under increasing injected packet loss. The zero-loss point
 /// anchors each curve; the lossy points show the recovery layer's cost
 /// (retransmissions push the tail up while throughput barely moves).
-fn faults_sweep(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
+fn faults_sweep(quick: bool) -> Result<Vec<BenchPoint>, String> {
     use rambda_kvs::{KvsDesigns, KvsParams};
     use rambda_txn::{TxnDesigns, TxnParams};
     let tb = Testbed::default();
@@ -520,7 +465,6 @@ fn faults_sweep(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
             x,
             &tb,
             Some(FaultConfig::lossy(0xFA17, loss)),
-            profile,
         )?);
         points.push(run_point(
             Design::txn_rambda_tx(xp.clone()),
@@ -528,7 +472,6 @@ fn faults_sweep(quick: bool, profile: bool) -> Result<Vec<BenchPoint>, String> {
             x,
             &tb,
             Some(FaultConfig::lossy(0xFA17, loss)),
-            profile,
         )?);
     }
     Ok(points)
@@ -592,7 +535,6 @@ mod tests {
                 window_completed: vec![100, 120, 130, 120, 110, 100, 120, 100, 50, 50],
                 peak_window_p99_ps: 10_000_000,
                 peak_utilization: 0.85,
-                events_dispatched: None,
             }],
         }
     }
@@ -649,32 +591,10 @@ mod tests {
 
     #[test]
     fn unknown_sweep_lists_valid_names() {
-        let err = run_sweep("nope", true, false).unwrap_err();
+        let err = run_sweep("nope", true).unwrap_err();
         for name in sweep_names() {
             assert!(err.contains(name), "{err}");
         }
-    }
-
-    #[test]
-    fn profile_fields_are_optional_and_round_trip() {
-        // A point without profile data serializes without the keys, so
-        // pre-profiler baselines stay byte-identical and still parse.
-        let bare = tiny_sweep().to_json_string();
-        assert!(!bare.contains("events_dispatched"), "{bare}");
-        let parsed = SweepResult::from_json_str(&bare).expect("parses");
-        assert_eq!(parsed.points[0].events_dispatched, None);
-
-        let mut profiled = tiny_sweep();
-        profiled.points[0].events_dispatched = Some(30_000);
-        let text = profiled.to_json_string();
-        let back = SweepResult::from_json_str(&text).expect("parses");
-        assert_eq!(back, profiled);
-        assert_eq!(back.to_json_string(), text);
-        let table = profiled.render_table();
-        assert!(table.contains("events"), "{table}");
-        assert!(table.contains("30000"), "{table}");
-        // An unprofiled sweep keeps the original table shape.
-        assert!(!tiny_sweep().render_table().contains("events"), "no profile column");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! CLI contract of the `report` binary's export modes (DESIGN.md §14.3):
+//! CLI contract of the `report` binary's export modes (DESIGN.md §13.2):
 //! bad selections and pointless flag combinations fail fast — before any
 //! simulation runs or output directory is created.
 

@@ -42,12 +42,10 @@
 
 mod event;
 mod export;
-mod hostprof;
 mod tail;
 mod tracer;
 mod validate;
 
 pub use event::{TraceEvent, Track};
-pub use hostprof::HostProf;
 pub use tail::{TailAttribution, WorstRequest};
 pub use tracer::{ReqObs, Tracer};

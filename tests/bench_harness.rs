@@ -15,23 +15,23 @@ use std::sync::OnceLock;
 
 use rambda_bench::harness::{compare, is_gating, run_sweep, sweep_names, SweepResult};
 
-/// The first plain quick run of each sweep. Every test that needs one reads
-/// it, so the binary runs each sweep plain once for them all and once more
-/// for the same-seed byte comparison. Tests run on parallel threads;
+/// The first quick run of each sweep. Every test that needs one reads it,
+/// so the binary runs each sweep once for them all and once more for the
+/// same-seed byte comparison. Tests run on parallel threads;
 /// whichever reaches a sweep first runs it.
 fn first_quick_run(name: &str) -> &'static SweepResult {
     static RUNS: OnceLock<Vec<OnceLock<SweepResult>>> = OnceLock::new();
     let names = sweep_names();
     let runs = RUNS.get_or_init(|| names.iter().map(|_| OnceLock::new()).collect());
     let i = names.iter().position(|n| *n == name).expect(name);
-    runs[i].get_or_init(|| run_sweep(name, true, false).expect(name))
+    runs[i].get_or_init(|| run_sweep(name, true).expect(name))
 }
 
 /// Same seed, same sweep, same bytes — the property the CI gate stands on.
 #[test]
 fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
     for name in sweep_names() {
-        let b = run_sweep(name, true, false).expect(name);
+        let b = run_sweep(name, true).expect(name);
         let a = first_quick_run(name);
         let text = a.to_json_string();
         assert_eq!(text, b.to_json_string(), "{name}: same-seed sweeps serialized differently");
@@ -66,23 +66,6 @@ fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
                 p.x
             );
         }
-    }
-}
-
-/// Profiled sweeps stay byte-deterministic, carry the profiler rows, and
-/// never perturb the headline numbers of the run they observe.
-#[test]
-fn profiled_sweeps_are_deterministic_and_additive() {
-    let plain = first_quick_run("micro_designs");
-    let a = run_sweep("micro_designs", true, true).expect("profiled");
-    let b = run_sweep("micro_designs", true, true).expect("profiled");
-    assert_eq!(a.to_json_string(), b.to_json_string(), "same-seed profiled sweeps must match");
-    assert!(a.to_json_string().contains("events_dispatched"));
-    assert!(!plain.to_json_string().contains("events_dispatched"), "unprofiled sweeps must omit the key");
-    for (p, q) in plain.points.iter().zip(&a.points) {
-        assert_eq!(p.throughput_ops, q.throughput_ops, "profiling perturbed {}", p.design);
-        assert_eq!(p.p99_ps, q.p99_ps, "profiling perturbed {}", p.design);
-        assert!(q.events_dispatched.is_some_and(|n| n > 0), "{}", q.design);
     }
 }
 

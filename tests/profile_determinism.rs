@@ -4,6 +4,7 @@
 //! byte-identical, the event-core section validates, and the flight
 //! recorder's trace of a profiled run agrees with its report.
 
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_kvs::{KvsDesigns, KvsParams};
@@ -11,6 +12,10 @@ use rambda_metrics::{MetricSet, RunReport};
 use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
+
+fn micro_design() -> Design {
+    Design::micro_rambda(MicroParams::quick(), DataLocation::HostDram, true, 1)
+}
 
 fn kvs_design() -> Design {
     Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram)
@@ -23,9 +28,10 @@ fn txn_design() -> Design {
 /// A named design constructor.
 type NamedDesign = (&'static str, fn() -> Design);
 
-/// The two headline designs the profiler is exercised on.
-fn designs() -> [NamedDesign; 2] {
-    [("kvs.rambda", kvs_design), ("txn.rambda_tx", txn_design)]
+/// The designs the profiler is exercised on: the pointer-chase micro and
+/// the KVS and transaction headline designs.
+fn designs() -> [NamedDesign; 3] {
+    [("micro.rambda", micro_design), ("kvs.rambda", kvs_design), ("txn.rambda_tx", txn_design)]
 }
 
 /// Runs `design` once in profile mode under the flight recorder.

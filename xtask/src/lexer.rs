@@ -14,7 +14,7 @@
 //!
 //! Every token carries the 1-based line it starts on so diagnostics can say
 //! `file:line`. Comments are *kept* in the stream (with their text): the
-//! `// SAFETY:` rule and the missing-docs rule need them.
+//! `// SAFETY:` rule needs them.
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! `cargo xtask` — workspace automation.
 //!
 //! ```text
-//! cargo xtask analyze [--root PATH] [--verbose] [--json] [--github]
+//! cargo xtask analyze [--root PATH] [--verbose] [--github]
 //! cargo xtask bench [--quick] [--compare PATH] [...]
 //! ```
 //!
@@ -19,16 +19,13 @@ const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  analyze [--root PATH] [--verbose] [--json] [--github]
-      Enforce the workspace determinism & unsafety invariants (DESIGN.md §8
-      and §13):
+  analyze [--root PATH] [--verbose] [--github]
+      Enforce the workspace determinism & unsafety invariants (DESIGN.md §8):
         R1  no HashMap/HashSet in simulation crates
-        R2  no wall-clock / thread::spawn / env-dependent I/O in simulation crates
+        R2  no wall-clock / thread::spawn / env-dependent I/O, and no
+            static mut / thread_local!, in simulation crates
         R3  unsafe confined to crates/ring, each use documented with // SAFETY:
-        R4  every pub item in rambda-des, rambda-metrics and rambda-trace documented
         R5  no println!/eprintln! outside src/bin drivers and the bench crate
-        R7  partition safety: no static mut / thread_local! / shared cells
-            (Rc, RefCell, ...) reachable from a simulated machine
         R8  RNG provenance: every RNG flows from the workload seed via a
             salting call; no literal seeds, entropy sources, or clones
         R9  every counter published by publish_metrics appears in a
@@ -37,13 +34,12 @@ Commands:
       `RULE path token  # reason`; the reason is mandatory); stale entries
       are errors.
 
-      --json emits the analysis as a JSON object on stdout (violations,
-      allowed, stale_allows, files_scanned) instead of human-readable text.
+      --verbose also lists the allowlisted violations.
       --github additionally emits GitHub Actions `::error file=..` workflow
       annotations so violations surface inline on pull requests.
 
   bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-        [--profile-compare PATH] [--profile] [--list]
+        [--profile-compare PATH] [--list]
       Build (release) and run the continuous-benchmark harness: seeded
       sweeps reproducing the paper's curves, byte-deterministic
       BENCH_<sweep>.json artifacts, and — with --compare — a regression
@@ -63,7 +59,6 @@ fn main() -> ExitCode {
         Some("analyze") => {
             let mut root: Option<PathBuf> = None;
             let mut verbose = false;
-            let mut json = false;
             let mut github = false;
             while let Some(arg) = args.next() {
                 match arg.as_str() {
@@ -72,12 +67,11 @@ fn main() -> ExitCode {
                         None => return usage_error("--root requires a path"),
                     },
                     "--verbose" => verbose = true,
-                    "--json" => json = true,
                     "--github" => github = true,
                     other => return usage_error(&format!("unknown flag `{other}`")),
                 }
             }
-            run_analyze(root, AnalyzeOutput { verbose, json, github })
+            run_analyze(root, verbose, github)
         }
         Some("bench") => run_bench(args.collect()),
         Some("help") | Some("--help") | Some("-h") => {
@@ -193,14 +187,7 @@ fn run_profile_gate(out_dir: &std::path::Path, floor_dir: &std::path::Path) -> E
     }
 }
 
-/// Output-shaping flags for `analyze`.
-struct AnalyzeOutput {
-    verbose: bool,
-    json: bool,
-    github: bool,
-}
-
-fn run_analyze(root: Option<PathBuf>, out: AnalyzeOutput) -> ExitCode {
+fn run_analyze(root: Option<PathBuf>, verbose: bool, github: bool) -> ExitCode {
     let cfg = Config::rambda(workspace_root(root));
     let analysis = match analyze(&cfg) {
         Ok(a) => a,
@@ -210,11 +197,7 @@ fn run_analyze(root: Option<PathBuf>, out: AnalyzeOutput) -> ExitCode {
         }
     };
 
-    if out.json {
-        println!("{}", analysis_json(&analysis));
-        return if analysis.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-    if out.github {
+    if github {
         // GitHub Actions workflow commands: one `::error` per violation so
         // the annotation lands on the offending line of the PR diff.
         for v in &analysis.violations {
@@ -235,7 +218,7 @@ fn run_analyze(root: Option<PathBuf>, out: AnalyzeOutput) -> ExitCode {
             );
         }
     }
-    if out.verbose {
+    if verbose {
         for v in &analysis.allowed {
             println!("allowed: {v}");
         }
@@ -261,52 +244,6 @@ fn run_analyze(root: Option<PathBuf>, out: AnalyzeOutput) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Renders the analysis as a JSON object (hand-rolled; xtask takes no
-/// dependencies). Violations and allowed entries carry the same fields the
-/// human-readable output shows; stale allowlist entries are raw strings.
-fn analysis_json(analysis: &xtask::rules::Analysis) -> String {
-    fn violation(v: &xtask::rules::Violation) -> String {
-        format!(
-            "{{\"rule\":{},\"path\":{},\"line\":{},\"token\":{},\"hint\":{}}}",
-            json_str(v.rule),
-            json_str(&v.path),
-            v.line,
-            json_str(&v.token),
-            json_str(&v.hint)
-        )
-    }
-    let list = |vs: &[xtask::rules::Violation]| vs.iter().map(violation).collect::<Vec<_>>().join(",");
-    let stale = analysis.stale_allows.iter().map(|s| json_str(s)).collect::<Vec<_>>().join(",");
-    format!(
-        "{{\"files_scanned\":{},\"violations\":[{}],\"allowed\":[{}],\"stale_allows\":[{}],\"clean\":{}}}",
-        analysis.files_scanned,
-        list(&analysis.violations),
-        list(&analysis.allowed),
-        stale,
-        analysis.is_clean()
-    )
-}
-
-/// Escapes a string as a JSON string literal (quotes, backslashes, control
-/// characters; everything else passes through as UTF-8).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Escapes the message part of a GitHub Actions workflow command (`%`, CR

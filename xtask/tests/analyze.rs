@@ -23,7 +23,6 @@ fn bad_fixture_trips_every_rule() {
 
     let kvs = "crates/kvs/src/lib.rs";
     let ring = "crates/ring/src/lib.rs";
-    let des = "crates/des/src/lib.rs";
     let fabric = "crates/fabric/src/lib.rs";
     for expected in [
         ("R1", kvs, "HashMap"),
@@ -31,10 +30,11 @@ fn bad_fixture_trips_every_rule() {
         ("R2", kvs, "Instant"),
         ("R2", kvs, "thread::spawn"),
         ("R2", kvs, "std::env"),
+        ("R2", kvs, "static mut EPOCH"),
+        ("R2", kvs, "thread_local!"),
         ("R3", kvs, "forbid(unsafe_code)"),
         ("R3", ring, "deny(unsafe_op_in_unsafe_fn)"),
         ("R3", ring, "unsafe"),
-        ("R4", des, "pub fn frobnicate"),
         ("R5", fabric, "println!"),
         ("R5", fabric, "eprintln!"),
     ] {
@@ -52,17 +52,22 @@ fn bad_fixture_trips_every_rule() {
     let r5_fabric = hits.iter().filter(|(r, p, _)| *r == "R5" && *p == fabric).count();
     assert_eq!(r5_fabric, 2, "test-module prints must be masked: {hits:#?}");
 
-    // The documented `unsafe` in the ring fixture and the HashMap inside the
-    // kvs fixture's #[cfg(test)] module must NOT be flagged: exactly one R3
-    // unsafe-token violation, and every R1 hit sits outside the test module.
+    // The documented `unsafe` in the ring fixture, and the HashMap and the
+    // thread-local inside the kvs fixture's #[cfg(test)] module, must NOT
+    // be flagged: exactly one R3 unsafe-token violation, and every R1 and
+    // R2 hit sits outside the test module.
     let undocumented: Vec<_> =
         hits.iter().filter(|(r, p, t)| *r == "R3" && *p == ring && *t == "unsafe").collect();
     assert_eq!(undocumented.len(), 1, "only the uncommented unsafe should fire: {hits:#?}");
-    let r1_lines: Vec<u32> =
-        analysis.violations.iter().filter(|v| v.rule == "R1" && v.path == kvs).map(|v| v.line).collect();
+    let kvs_lines: Vec<u32> = analysis
+        .violations
+        .iter()
+        .filter(|v| matches!(v.rule, "R1" | "R2") && v.path == kvs)
+        .map(|v| v.line)
+        .collect();
     assert!(
-        r1_lines.iter().all(|&l| l < 21),
-        "R1 must skip the #[cfg(test)] module (lines >= 21): {r1_lines:?}"
+        kvs_lines.iter().all(|&l| l < 28),
+        "R1/R2 must skip the #[cfg(test)] module (lines >= 28): {kvs_lines:?}"
     );
 }
 
@@ -80,42 +85,20 @@ fn bad_fixture_fails_through_the_binary() {
 }
 
 #[test]
-fn r7_fixture_trips_partition_hazards_and_clean_twin_passes() {
-    let analysis = analyze(&Config::rambda(fixture_root("r7/bad"))).expect("fixture scans");
-    let hits: Vec<(&str, &str)> = analysis.violations.iter().map(|v| (v.rule, v.token.as_str())).collect();
-    for expected in [("R7", "static mut EPOCH"), ("R7", "thread_local!"), ("R7", "SharedState.cache: Rc")] {
-        assert!(hits.contains(&expected), "missing expected violation {expected:?} in {hits:#?}");
-    }
-    assert_eq!(hits.len(), 3, "exactly the three hazards fire: {hits:#?}");
-    // The shared-cell diagnostic carries the reachability path that makes
-    // the sharing concrete.
-    let cell = analysis.violations.iter().find(|v| v.token.contains("SharedState")).unwrap();
-    assert!(
-        cell.hint.contains("Machine .state -> SharedState"),
-        "hint must show the reachability path: {}",
-        cell.hint
-    );
-
-    let clean = analyze(&Config::rambda(fixture_root("r7/clean"))).expect("fixture scans");
-    assert!(clean.is_clean(), "a Cell unreachable from Machine must not fire: {:#?}", clean.violations);
-}
-
-#[test]
 fn r8_fixture_trips_rng_provenance_and_clean_twin_passes() {
     let analysis = analyze(&Config::rambda(fixture_root("r8/bad"))).expect("fixture scans");
     let hits: Vec<(&str, &str)> = analysis.violations.iter().map(|v| (v.rule, v.token.as_str())).collect();
-    for expected in [("R8", "thread_rng"), ("R8", "rng.clone()"), ("R8", "World.rng: SimRng")] {
+    for expected in [("R8", "thread_rng"), ("R8", "rng.clone()")] {
         assert!(hits.contains(&expected), "missing expected violation {expected:?} in {hits:#?}");
     }
     // The literal seed and the unsalted seed each fire once; the
     // `SimRng::seed(params.seed)` call must not.
     let seeds = hits.iter().filter(|(r, t)| *r == "R8" && *t == "SimRng::seed").count();
     assert_eq!(seeds, 2, "literal + unsalted seed, nothing else: {hits:#?}");
-    assert_eq!(hits.len(), 5, "exactly the five provenance breaks fire: {hits:#?}");
+    assert_eq!(hits.len(), 4, "exactly the four provenance breaks fire: {hits:#?}");
 
     // The clean twin exercises the exemptions: a bare-literal seed() inside
-    // `impl SimRng`, a literal seed under #[cfg(test)], and one RNG beside
-    // a single machine.
+    // `impl SimRng` and a literal seed under #[cfg(test)].
     let clean = analyze(&Config::rambda(fixture_root("r8/clean"))).expect("fixture scans");
     assert!(clean.is_clean(), "R8 exemptions must hold: {:#?}", clean.violations);
 }
@@ -156,34 +139,18 @@ fn r9_covers_the_metrics_crate_event_core_publisher() {
 }
 
 #[test]
-fn json_output_through_the_binary() {
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["analyze", "--json", "--root"])
-        .arg(fixture_root("r9/bad"))
-        .output()
-        .expect("xtask binary runs");
-    assert_eq!(out.status.code(), Some(1), "violations still exit 1 under --json");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("{\"files_scanned\":"), "JSON object on stdout:\n{stdout}");
-    assert!(stdout.contains("\"rule\":\"R9\""), "violations are serialized:\n{stdout}");
-    assert!(stdout.contains("\"token\":\"doorbells\""), "tokens are serialized:\n{stdout}");
-    assert!(stdout.contains("\"clean\":false"), "verdict is serialized:\n{stdout}");
-}
-
-#[test]
 fn github_annotations_through_the_binary() {
     let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args(["analyze", "--github", "--root"])
-        .arg(fixture_root("r7/bad"))
+        .arg(fixture_root("bad"))
         .output()
         .expect("xtask binary runs");
     assert_eq!(out.status.code(), Some(1), "violations still exit 1 under --github");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("::error file=crates/fabric/src/lib.rs,line="),
-        "workflow annotations name file and line:\n{stdout}"
+        stdout.contains("::error file=crates/kvs/src/lib.rs,line=10,title=analyze R2::static mut EPOCH"),
+        "workflow annotations name file, line, rule and token:\n{stdout}"
     );
-    assert!(stdout.contains("title=analyze R7::"), "annotations carry the rule:\n{stdout}");
 }
 
 #[test]

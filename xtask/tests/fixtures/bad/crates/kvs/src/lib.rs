@@ -1,10 +1,17 @@
 //! Negative fixture for `cargo xtask analyze`: a simulation crate breaking
-//! R1 (hash containers), R2 (wall-clock, threads, env I/O) and R3 (missing
-//! `#![forbid(unsafe_code)]`). Never compiled — scanned by xtask/tests.
+//! R1 (hash containers), R2 (wall-clock, threads, env I/O, process globals)
+//! and R3 (missing `#![forbid(unsafe_code)]`). Never compiled — scanned by
+//! xtask/tests.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::time::Instant;
+
+static mut EPOCH: u64 = 0;
+
+thread_local! {
+    static TICKS: u64 = 0;
+}
 
 pub struct Shard {
     entries: HashMap<u64, Vec<u8>>,
@@ -20,8 +27,13 @@ pub fn run(shard: &mut Shard) {
 
 #[cfg(test)]
 mod tests {
-    // A HashMap inside #[cfg(test)] is fine: R1/R2 skip test modules.
+    // A HashMap or a thread-local inside #[cfg(test)] is fine: R1/R2 skip
+    // test modules.
     use std::collections::HashMap;
+
+    thread_local! {
+        static ORACLE_RUNS: u64 = 0;
+    }
 
     #[test]
     fn oracle_may_hash() {

@@ -1,26 +1,16 @@
 //! Negative fixture for rule R8 (RNG provenance): literal seed, unsalted
-//! seed, ambient entropy, an RNG clone, and one RNG owned beside multiple
-//! machines. Never compiled — scanned by xtask/tests.
+//! seed, ambient entropy and an RNG clone. Never compiled — scanned by
+//! xtask/tests.
 
 #![forbid(unsafe_code)]
 
-pub struct Machine {
-    pub cycles: u64,
-}
-
-pub struct World {
-    pub client: Machine,
-    pub server: Machine,
-    pub rng: SimRng,
-}
-
-pub fn build(epoch: u64) -> World {
+pub fn build(epoch: u64) -> SimRng {
     let rng = SimRng::seed(0xDEAD_BEEF);
     let other = SimRng::seed(epoch);
     let copy = rng.clone();
     let hasher = thread_rng();
     let _ = (other, copy, hasher);
-    World { client: Machine { cycles: 0 }, server: Machine { cycles: 0 }, rng }
+    rng
 }
 
 pub fn build_ok(params: &Params) -> SimRng {

@@ -1,13 +1,9 @@
 //! Clean fixture for rule R8: seeds flow from the workload seed, the RNG's
-//! own `impl` may use raw constants (it IS the primitive), each machine gets
-//! a forked stream, and literal seeds inside `#[cfg(test)]` are masked.
-//! Never compiled — scanned by xtask/tests.
+//! own `impl` may use raw constants (it IS the primitive), and literal
+//! seeds inside `#[cfg(test)]` are masked. Never compiled — scanned by
+//! xtask/tests.
 
 #![forbid(unsafe_code)]
-
-pub struct Machine {
-    pub cycles: u64,
-}
 
 pub struct SimRng {
     state: u64,
@@ -23,14 +19,8 @@ impl SimRng {
     }
 }
 
-/// One machine beside one forked stream: fine.
-pub struct Port {
-    pub machine: Machine,
-    pub rng: SimRng,
-}
-
-pub fn build(params: &Params) -> Port {
-    Port { machine: Machine { cycles: 0 }, rng: SimRng::seed(params.seed) }
+pub fn build(params: &Params) -> SimRng {
+    SimRng::seed(params.seed)
 }
 
 #[cfg(test)]
