@@ -69,11 +69,6 @@ impl<'a> ApuCtx<'a> {
         let replied_at = sent + host_time;
         self.now = self.engine.ring_read(replied_at, bytes, self.mem);
     }
-
-    /// Direct access to the engine for advanced APUs.
-    pub fn engine_mut(&mut self) -> &mut AccelEngine {
-        self.engine
-    }
 }
 
 /// An application processing unit.

@@ -1,46 +1,11 @@
 //! Criterion micro-benchmarks of the real (non-simulated) data structures:
-//! the lock-free SPSC ring, the pointer buffer, the MICA-style store, the
-//! Zipfian sampler, and the MERCI reduction.
+//! the MICA-style store, the Zipfian sampler, and the MERCI reduction.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rambda_des::SimRng;
 use rambda_dlrm::{MemoTable, ReductionPlan};
 use rambda_kvs::{KvConfig, KvStore};
-use rambda_ring::{BufferPair, PointerBuffer};
 use rambda_workloads::{DlrmProfile, Zipf};
-
-fn bench_spsc(c: &mut Criterion) {
-    c.bench_function("spsc_push_pop", |b| {
-        let (mut tx, mut rx) = rambda_ring::channel::<u64>(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            tx.push(i).unwrap();
-            i += 1;
-            std::hint::black_box(rx.pop().unwrap());
-        });
-    });
-
-    c.bench_function("buffer_pair_round_trip", |b| {
-        let (mut client, mut server) = BufferPair::with_capacity::<u64, u64>(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            client.issue(i).unwrap();
-            i += 1;
-            let r = server.next_request().unwrap();
-            server.respond(r).unwrap();
-            std::hint::black_box(client.poll().unwrap());
-        });
-    });
-
-    c.bench_function("pointer_buffer_bump", |b| {
-        let pb = PointerBuffer::new(1024);
-        let mut i = 0usize;
-        b.iter(|| {
-            std::hint::black_box(pb.bump(i & 1023));
-            i += 1;
-        });
-    });
-}
 
 fn bench_kv(c: &mut Criterion) {
     let cfg = KvConfig::for_pairs(100_000, 64);
@@ -98,5 +63,5 @@ fn bench_merci(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_spsc, bench_kv, bench_workloads, bench_merci);
+criterion_group!(benches, bench_kv, bench_workloads, bench_merci);
 criterion_main!(benches);

@@ -11,11 +11,11 @@
 //! around it for NVM-backed buffers.
 //!
 //! This crate is the framework layer of the reproduction: it composes the
-//! substrate crates (`rambda-des`, `-mem`, `-coherence`, `-ring`, `-fabric`,
-//! `-rnic`, `-accel`, `-smartnic`) into simulated machines and serving
-//! designs, provides the closed-loop measurement driver, and implements the
-//! Sec. VI-A microbenchmark. The three applications (`rambda-kvs`,
-//! `rambda-txn`, `rambda-dlrm`) build on it.
+//! substrate crates (`rambda-des`, `-mem`, `-coherence`, `-fabric`, `-rnic`,
+//! `-accel`, `-smartnic`) into simulated machines and serving designs,
+//! provides the closed-loop measurement driver, and implements the Sec. VI-A
+//! microbenchmark. The three applications (`rambda-kvs`, `rambda-txn`,
+//! `rambda-dlrm`) build on it.
 //!
 //! ## Quick start
 //!
@@ -39,13 +39,11 @@ mod machine;
 
 pub mod cpu;
 pub mod designs;
-pub mod framework;
 pub mod micro;
 mod report;
 pub mod sim;
 
 pub use config::{CpuConfig, Testbed};
 pub use driver::DriverConfig;
-pub use framework::{AppRegistration, Connection, CpollLayout, Framework, RegisterError, RegisteredApp};
 pub use machine::Machine;
 pub use sim::{Design, Machines, Req, SimBuilder};

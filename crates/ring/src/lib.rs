@@ -1,44 +1,6 @@
-//! Lock-free ring buffers — Rambda's unified communication abstraction.
-//!
-//! Sec. III-A of the paper builds both inter-machine (client ⇄ server over
-//! one-sided RDMA write) and intra-machine (CPU ⇄ cc-accelerator over
-//! coherent load/store) communication on the *same* primitive: a pair of
-//! single-producer/single-consumer lock-free ring buffers with credit-based
-//! flow control, never shared across connections (to avoid atomics on the
-//! head/tail), optionally shared across threads of one endpoint behind a
-//! dispatch layer.
-//!
-//! This crate implements that primitive for real (atomics, not simulation):
-//!
-//! * [`spsc`] — a Lamport-style single-producer/single-consumer queue.
-//! * [`BufferPair`] / [`ClientEnd`] / [`ServerEnd`] — the request/response
-//!   pair with the paper's credit rules (the client may only issue while the
-//!   in-flight window has room; both sides learn progress purely from the
-//!   rings, one network trip per message).
-//! * [`PointerBuffer`] / [`TailTracker`] — the 4-byte-entry pointer buffer
-//!   used to shrink the cpoll region at scale (Fig. 3(c)), including the
-//!   coalesced-signal recovery rule of Sec. III-C.
-//! * [`dispatch`] — Flock-style sharing of one connection across worker
-//!   threads through a dedicated dispatch thread.
-//! * [`rpc`] — the HERD-style RPC frame format with torn-write detection.
+//! Empty placeholder. The simulator models Rambda's rings, credits and
+//! pointer buffer as timing only (DESIGN.md §1); this package stays, with no
+//! code and no dependencies, only because `perfbench/Cargo.lock` lists it
+//! through `rambda`'s dependency. The next benchmark change removes both.
 
-// `unsafe` in this crate is confined to `spsc` and audited by
-// `cargo xtask analyze` (rule R3): every unsafe block carries a SAFETY
-// comment, and the interleaving model in [`model`] exhaustively checks the
-// slot protocol those comments rely on.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_docs)]
-
-pub mod dispatch;
-pub mod model;
-pub mod rpc;
-pub mod spsc;
-
-mod pair;
-mod pointer;
-
-pub use dispatch::{run_dispatcher, shared_connection, DispatchGone, Dispatcher, SharedClient};
-pub use pair::{BufferPair, ClientEnd, IssueError, ServerEnd};
-pub use pointer::{PointerBuffer, TailTracker};
-pub use rpc::{DecodeError, Frame, OpCode};
-pub use spsc::{channel, Consumer, Producer};
+#![forbid(unsafe_code)]

@@ -1,14 +1,9 @@
-//! Per-machine RNIC state: QPs, regions, pipelines, doorbells.
+//! Per-machine RNIC state: regions, pipelines, doorbells.
 
 use rambda_des::{SimTime, Span, Throttle};
 use rambda_fabric::{NodeId, PcieConfig, PcieLink};
 use rambda_mem::{DmaRoute, MemKind, MemorySystem};
 use serde::{Deserialize, Serialize};
-
-/// A queue-pair identifier (one per client–server connection, per Sec.
-/// III-A's no-sharing-across-connections rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct QpId(pub u32);
 
 /// A registered memory region key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -151,7 +146,6 @@ pub struct RnicEndpoint {
     pcie: PcieLink,
     pipeline: Throttle,
     regions: Vec<MrInfo>,
-    next_qp: u32,
     stats: RnicStats,
 }
 
@@ -164,7 +158,6 @@ impl RnicEndpoint {
             cfg,
             pcie: PcieLink::new(pcie),
             regions: Vec::new(),
-            next_qp: 0,
             stats: RnicStats::default(),
         }
     }
@@ -208,18 +201,6 @@ impl RnicEndpoint {
             // timeline a per-window delta series (retransmit-rate curve).
             m.set(&format!("{prefix}.recovery.busy_ps"), s.backoff_ns * 1000);
         }
-    }
-
-    /// The PCIe link (shared by Smart-NIC models co-located on the device).
-    pub fn pcie_mut(&mut self) -> &mut PcieLink {
-        &mut self.pcie
-    }
-
-    /// Creates a queue pair.
-    pub fn create_qp(&mut self) -> QpId {
-        let id = QpId(self.next_qp);
-        self.next_qp += 1;
-        id
     }
 
     /// Registers a memory region.
@@ -347,7 +328,7 @@ impl RnicEndpoint {
         self.stats.retries_exhausted += 1;
     }
 
-    /// Resets pipelines and counters (regions/QPs are kept).
+    /// Resets pipelines and counters (regions are kept).
     pub fn reset(&mut self) {
         self.pipeline.reset();
         self.pcie.reset();
@@ -366,12 +347,6 @@ mod tests {
 
     fn memory() -> MemorySystem {
         MemorySystem::new(MemConfig::default(), false)
-    }
-
-    #[test]
-    fn qp_ids_are_unique() {
-        let mut nic = endpoint();
-        assert_ne!(nic.create_qp(), nic.create_qp());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Implements the verbs-level machinery the paper relies on (Sec. II-A,
 //! Sec. III):
 //!
-//! * queue pairs with send-queue processing pipelines,
+//! * the send-queue processing pipeline,
 //! * WQE posting with MMIO doorbells and **doorbell batching** (one MMIO for
 //!   a chain of WQEs, only the last signaled — the optimization Rambda's SQ
 //!   handler and the HERD-style baselines both use),
@@ -14,8 +14,7 @@
 //! * end-to-end one-sided write / read paths composing the PCIe, network,
 //!   and memory models.
 //!
-//! The model charges time and routes bytes; message *contents* move through
-//! `rambda-ring` structures owned by the framework layer.
+//! The model charges time and routes bytes; it carries no message contents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +22,7 @@
 mod endpoint;
 mod ops;
 
-pub use endpoint::{MrInfo, MrKey, PostPath, QpId, RetryPolicy, RnicConfig, RnicEndpoint, RnicStats};
+pub use endpoint::{MrInfo, MrKey, PostPath, RetryPolicy, RnicConfig, RnicEndpoint, RnicStats};
 pub use ops::{
     rdma_read, rdma_write, two_sided_send, PostFlags, RdmaError, ReadOutcome, WriteOpts, WriteOutcome,
 };

@@ -24,7 +24,7 @@ Commands:
         R1  no HashMap/HashSet in simulation crates
         R2  no wall-clock / thread::spawn / env-dependent I/O, and no
             static mut / thread_local!, in simulation crates
-        R3  unsafe confined to crates/ring, each use documented with // SAFETY:
+        R3  no unsafe anywhere; every lib.rs carries #![forbid(unsafe_code)]
         R5  no println!/eprintln! outside src/bin drivers and the bench crate
         R8  RNG provenance: every RNG flows from the workload seed via a
             salting call; no literal seeds, entropy sources, or clones

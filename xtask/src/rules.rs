@@ -13,10 +13,9 @@
 //!   no `std::env` / `std::fs` access, and no process globals (`static
 //!   mut`, `thread_local!`), whose state outlives a run and breaks
 //!   same-seed identity, in simulation crates.
-//! * **R3** — `unsafe` is confined to the ring crate; every `unsafe` there
-//!   is preceded by a `// SAFETY:` comment; every other crate's `lib.rs`
-//!   carries `#![forbid(unsafe_code)]`; the ring crate's `lib.rs` carries
-//!   `#![deny(unsafe_op_in_unsafe_fn)]`.
+//! * **R3** — the workspace has no `unsafe`: every `unsafe` token is a
+//!   violation, and every crate's `lib.rs` carries
+//!   `#![forbid(unsafe_code)]`.
 //! * **R5** — no `println!` / `eprintln!` (nor `print!` / `eprint!`)
 //!   outside driver binaries: a simulation reports through `RunReport` and
 //!   the flight recorder, never by writing to the terminal mid-run.
@@ -33,8 +32,7 @@
 //! test may model against a `HashMap`, spawn threads, seed an RNG
 //! literally, or print diagnostics without affecting simulation output,
 //! and a driver binary is ordinary host code that may read flags and write
-//! files. R3 is enforced everywhere — undocumented `unsafe` in a test is
-//! still a bug.
+//! files. R3 is enforced everywhere — `unsafe` in a test is still `unsafe`.
 //!
 //! Most checks read the token stream; R2's globals, R8's `impl SimRng`
 //! exemption and R9's function bodies read the item list of the parse
@@ -61,8 +59,6 @@ pub struct Config {
     /// Crate directory names (under `crates/`) holding simulation state;
     /// R1, R2 and R8 apply here.
     pub sim_crates: Vec<String>,
-    /// The single crate directory allowed to contain `unsafe` (R3).
-    pub unsafe_crate: String,
     /// Crate directory names allowed to print outside `src/bin/` targets
     /// (R5) — the table-rendering bench crate.
     pub print_crates: Vec<String>,
@@ -78,8 +74,7 @@ pub struct Config {
 
 impl Config {
     /// The Rambda workspace configuration: every crate is a simulation
-    /// crate except `ring` (real atomics, verified by the interleaving
-    /// model in `crates/ring/src/model.rs` instead).
+    /// crate except `ring`, an empty placeholder package.
     pub fn rambda(root: PathBuf) -> Self {
         let sim = [
             "accel",
@@ -102,7 +97,6 @@ impl Config {
         Config {
             root,
             sim_crates: sim.iter().map(|s| s.to_string()).collect(),
-            unsafe_crate: "ring".to_string(),
             print_crates: vec!["bench".to_string()],
             stats_crates: vec!["rnic".to_string(), "metrics".to_string()],
             identity_crates: vec!["metrics".to_string()],
@@ -242,7 +236,7 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
                 rule_r1(&pf, &mut violations);
                 rule_r2(&pf, &mut violations);
             }
-            rule_r3_file(cfg, &crate_name, is_lib_rs, &pf, &mut violations);
+            rule_r3_file(is_lib_rs, &pf, &mut violations);
             if !cfg.print_crates.contains(&crate_name) && !pf.is_bin {
                 rule_r5(&pf, &mut violations);
             }
@@ -666,84 +660,28 @@ fn strip_placeholders(text: &str) -> String {
     out
 }
 
-/// R3, per file: unsafe confinement, SAFETY comments, lint attributes.
-fn rule_r3_file(cfg: &Config, crate_name: &str, is_lib_rs: bool, f: &ParsedFile, out: &mut Vec<Violation>) {
-    let is_unsafe_crate = crate_name == cfg.unsafe_crate;
-    let tokens = &f.tokens;
-    let path = &f.rel;
-
-    if !is_unsafe_crate {
-        for t in tokens {
-            if t.ident() == Some("unsafe") {
-                out.push(Violation {
-                    rule: "R3",
-                    path: path.to_string(),
-                    line: t.line,
-                    token: "unsafe".to_string(),
-                    hint: format!(
-                        "unsafe is confined to crates/{}; move the code there or find a safe formulation",
-                        cfg.unsafe_crate
-                    ),
-                });
-            }
-        }
-        if is_lib_rs && !has_ident_pair(tokens, "forbid", "unsafe_code") {
+/// R3, per file: no `unsafe` token, and `#![forbid(unsafe_code)]` in
+/// `lib.rs`.
+fn rule_r3_file(is_lib_rs: bool, f: &ParsedFile, out: &mut Vec<Violation>) {
+    for t in &f.tokens {
+        if t.ident() == Some("unsafe") {
             out.push(Violation {
                 rule: "R3",
-                path: path.to_string(),
-                line: 1,
-                token: "forbid(unsafe_code)".to_string(),
-                hint: "add #![forbid(unsafe_code)] at the top of lib.rs".to_string(),
+                path: f.rel.clone(),
+                line: t.line,
+                token: "unsafe".to_string(),
+                hint: "the workspace has no unsafe code; find a safe formulation".to_string(),
             });
         }
-    } else {
-        if is_lib_rs && !has_ident_pair(tokens, "deny", "unsafe_op_in_unsafe_fn") {
-            out.push(Violation {
-                rule: "R3",
-                path: path.to_string(),
-                line: 1,
-                token: "deny(unsafe_op_in_unsafe_fn)".to_string(),
-                hint: "add #![deny(unsafe_op_in_unsafe_fn)] at the top of lib.rs".to_string(),
-            });
-        }
-        // Every `unsafe` needs a `// SAFETY:` comment directly above it.
-        for (i, t) in tokens.iter().enumerate() {
-            if t.ident() != Some("unsafe") {
-                continue;
-            }
-            // Walk back through the comment block above the `unsafe`: each
-            // comment must sit within 5 lines of the code below it, but a
-            // contiguous run of comment lines counts as one block, so a long
-            // multi-line SAFETY justification is credited in full.
-            let mut window_line = t.line;
-            let mut documented = false;
-            for p in tokens[..i].iter().rev() {
-                // Stop at the previous `unsafe`: one comment cannot cover two.
-                if p.ident() == Some("unsafe") {
-                    break;
-                }
-                if !p.is_comment() {
-                    continue;
-                }
-                if window_line.saturating_sub(p.end_line) > 5 {
-                    break;
-                }
-                if p.comment_text().is_some_and(|c| c.contains("SAFETY:")) {
-                    documented = true;
-                    break;
-                }
-                window_line = p.line;
-            }
-            if !documented {
-                out.push(Violation {
-                    rule: "R3",
-                    path: path.to_string(),
-                    line: t.line,
-                    token: "unsafe".to_string(),
-                    hint: "precede every unsafe with a // SAFETY: comment justifying it".to_string(),
-                });
-            }
-        }
+    }
+    if is_lib_rs && !has_ident_pair(&f.tokens, "forbid", "unsafe_code") {
+        out.push(Violation {
+            rule: "R3",
+            path: f.rel.clone(),
+            line: 1,
+            token: "forbid(unsafe_code)".to_string(),
+            hint: "add #![forbid(unsafe_code)] at the top of lib.rs".to_string(),
+        });
     }
 }
 
@@ -807,42 +745,31 @@ mod tests {
         assert!(run_rule(tests, rule_r2).is_empty());
     }
 
-    fn run_r3(src: &str, crate_name: &str, is_lib: bool) -> Vec<Violation> {
-        let cfg = Config::rambda(PathBuf::from("."));
-        let pf = ParsedFile::parse("test.rs", crate_name, src);
+    fn run_r3(src: &str, is_lib: bool) -> Vec<Violation> {
+        let pf = parse(src);
         let mut out = Vec::new();
-        rule_r3_file(&cfg, crate_name, is_lib, &pf, &mut out);
+        rule_r3_file(is_lib, &pf, &mut out);
         out
     }
 
     #[test]
-    fn r3_unsafe_outside_ring_is_flagged() {
-        let v = run_r3("fn f() { unsafe { g() } }", "kvs", false);
+    fn r3_every_unsafe_is_flagged() {
+        let v = run_r3("fn f() { unsafe { g() } }", false);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].token, "unsafe");
+        // A SAFETY comment excuses nothing, and each site fires on its own.
+        let documented = "// SAFETY: exclusive owner.\nunsafe impl Send for X {}\nunsafe impl Sync for X {}";
+        assert_eq!(run_r3(documented, false).len(), 2);
+        // Strings, comments and the lint's own name are not `unsafe` tokens.
+        assert!(run_r3("let s = \"unsafe\"; // unsafe\n#![forbid(unsafe_code)]", false).is_empty());
     }
 
     #[test]
     fn r3_lib_rs_lint_attributes() {
-        assert_eq!(run_r3("#![forbid(unsafe_code)]", "kvs", true).len(), 0);
-        assert_eq!(run_r3("//! docs only", "kvs", true).len(), 1);
-        assert_eq!(run_r3("#![deny(unsafe_op_in_unsafe_fn)]", "ring", true).len(), 0);
-        assert_eq!(run_r3("//! docs only", "ring", true).len(), 1);
-    }
-
-    #[test]
-    fn r3_safety_comments_in_ring() {
-        let ok = "// SAFETY: exclusive owner.\nunsafe { g() }";
-        assert!(run_r3(ok, "ring", false).is_empty());
-        let missing = "unsafe { g() }";
-        assert_eq!(run_r3(missing, "ring", false).len(), 1);
-        // One comment cannot cover two unsafe sites.
-        let shared =
-            "// SAFETY: covers only the first.\nunsafe impl Send for X {}\nunsafe impl Sync for X {}";
-        assert_eq!(run_r3(shared, "ring", false).len(), 1);
-        // A comment more than five lines up does not count.
-        let far = "// SAFETY: too far away.\n\n\n\n\n\n\nunsafe { g() }";
-        assert_eq!(run_r3(far, "ring", false).len(), 1);
+        assert_eq!(run_r3("#![forbid(unsafe_code)]", true).len(), 0);
+        assert_eq!(run_r3("//! docs only", true).len(), 1);
+        // Only `lib.rs` must carry the attribute.
+        assert_eq!(run_r3("//! docs only", false).len(), 0);
     }
 
     #[test]
