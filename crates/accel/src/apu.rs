@@ -2,9 +2,8 @@
 //!
 //! An APU receives a request (already delivered through a ring and
 //! discovered via cpoll) and processes it using the standard interfaces the
-//! paper lists: coherent data read/write, ALU operations, and (for
-//! CPU-collaborative apps) ring messages to the host cores. All of these are
-//! timed through [`ApuCtx`], which advances a per-request clock.
+//! paper lists: coherent data reads and writes, and ALU operations. All of
+//! these are timed through [`ApuCtx`], which advances a per-request clock.
 
 use rambda_des::SimTime;
 use rambda_mem::MemorySystem;
@@ -58,17 +57,6 @@ impl<'a> ApuCtx<'a> {
     pub fn compute(&mut self, n: u64) {
         self.now = self.engine.compute(self.now, n);
     }
-
-    /// Sends a message of `bytes` to the host CPU through the intra-machine
-    /// ring (Sec. III-A) and waits `host_time` for the CPU-side work before
-    /// the reply lands back in the accelerator's request ring.
-    ///
-    /// Used by CPU-collaborative APUs like DLRM's pre-processing hand-off.
-    pub fn call_host(&mut self, bytes: u64, host_time: rambda_des::Span) {
-        let sent = self.engine.ring_write(self.now, bytes, self.mem);
-        let replied_at = sent + host_time;
-        self.now = self.engine.ring_read(replied_at, bytes, self.mem);
-    }
 }
 
 /// An application processing unit.
@@ -93,7 +81,6 @@ pub trait Apu {
 mod tests {
     use super::*;
     use crate::engine::{AccelConfig, DataLocation};
-    use rambda_des::Span;
     use rambda_mem::MemConfig;
 
     /// A toy APU: chase two pointers and add.
@@ -122,15 +109,5 @@ mod tests {
         let took = ctx.now() - SimTime::from_us(1);
         assert!((600.0..900.0).contains(&took.as_ns_f64()), "{took}");
         assert_eq!(ToyApu.response_bytes(&resp), 8);
-    }
-
-    #[test]
-    fn call_host_round_trip() {
-        let mut engine = AccelEngine::new(AccelConfig::prototype(DataLocation::HostDram));
-        let mut mem = MemorySystem::new(MemConfig::default(), true);
-        let mut ctx = ApuCtx::new(&mut engine, &mut mem, SimTime::ZERO);
-        ctx.call_host(256, Span::from_us(1));
-        // Ring write + 1us host + ring read.
-        assert!(ctx.now().as_us_f64() > 1.4, "{}", ctx.now().as_us_f64());
     }
 }

@@ -1,12 +1,14 @@
 //! The Rambda cc-accelerator (Fig. 4).
 //!
 //! The accelerator consists of infrastructure shared by every application —
-//! coherence controller + TLB, local cache with the pinned cpoll region,
+//! coherence controller, local cache with the pinned cpoll region,
 //! round-robin scheduler, a table-based FSM supporting 256 outstanding
 //! requests, and the RDMA SQ handler — plus the **APU** (application
 //! processing unit), the only application-specific block. This crate models
-//! the infrastructure and defines the [`Apu`] trait that `rambda-kvs`,
-//! `rambda-txn`, and `rambda-dlrm` implement.
+//! the infrastructure's timing and defines the [`Apu`] trait that
+//! `rambda-kvs`, `rambda-txn`, and `rambda-dlrm` implement. The scheduler
+//! and FSM are charged as a fixed per-request dispatch overhead
+//! ([`AccelConfig::dispatch_overhead`]); address translation is not charged.
 //!
 //! Timing honesty: every memory request issued by the APU passes through the
 //! coherence controller's serial issue throttle and the cc-interconnect (for
@@ -20,10 +22,5 @@
 mod apu;
 mod engine;
 
-pub mod scheduler;
-pub mod tlb;
-
 pub use apu::{Apu, ApuCtx};
 pub use engine::{AccelConfig, AccelEngine, AccelStats, DataLocation};
-pub use scheduler::{RoundRobin, SchedulePolicy, StrictPriority, WeightedRoundRobin};
-pub use tlb::{Tlb, TlbStats};

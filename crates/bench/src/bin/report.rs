@@ -26,11 +26,10 @@
 use std::fs;
 use std::process::exit;
 
-use rambda::designs::RUNNER_NAMES;
 use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
-use rambda_bench::Table;
+use rambda_bench::{Table, RUNNERS};
 use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
@@ -47,7 +46,7 @@ const FAULT_SEED: u64 = 0xFA17;
 fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
     eprintln!("              [--profile <dir>] [--profile-runner <name|all>]");
-    eprintln!("runners: {}", RUNNER_NAMES.join(", "));
+    eprintln!("runners: {}", RUNNERS.join(", "));
     exit(2);
 }
 
@@ -55,8 +54,8 @@ fn usage() -> ! {
 /// `--profile-runner`: rejects an unknown name with the valid-runner
 /// listing before any runner executes or any output directory is created.
 fn check_runner(flag: &str, name: &str) {
-    if let Err(e) = rambda::designs::check_runner(name) {
-        eprintln!("{e} (for {flag})");
+    if name != "all" && !RUNNERS.contains(&name) {
+        eprintln!("unknown runner `{name}` — valid runners: all, {} (for {flag})", RUNNERS.join(", "));
         exit(2);
     }
 }
@@ -235,11 +234,11 @@ fn main() {
     println!("Flight-recorder traces: report --trace <dir> [--trace-runner <name|all>]");
 }
 
-/// Builds the quick-mode [`Design`] for a named runner from the shared
-/// registry ([`rambda_bench::quick_registry`]) — the same factories the
-/// bench harness and the integration tests use.
+/// Builds the quick-mode [`Design`] for a named runner
+/// ([`rambda_bench::quick_design`]) — the same designs the integration
+/// tests use.
 fn design_for(name: &str) -> Design {
-    rambda_bench::quick_registry().design(name).unwrap_or_else(|| {
+    rambda_bench::quick_design(name).unwrap_or_else(|| {
         eprintln!("unknown runner {name}");
         usage()
     })
@@ -307,7 +306,7 @@ fn fault_quickstart(tb: &Testbed, faults: &FaultConfig, loss: f64) {
 /// prints each runner's tail attribution.
 fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &FaultConfig) {
     fs::create_dir_all(dir).expect("create trace output dir");
-    let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
+    let names: Vec<&str> = if runner == "all" { RUNNERS.to_vec() } else { vec![runner] };
     for name in names {
         let mut tracer = Tracer::flight_recorder();
         let report =
@@ -364,7 +363,7 @@ fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &F
 /// across same-seed runs.
 fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     fs::create_dir_all(dir).expect("create profile output dir");
-    let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
+    let names: Vec<&str> = if runner == "all" { RUNNERS.to_vec() } else { vec![runner] };
     for name in names {
         let mut tracer = Tracer::flight_recorder();
         let report = SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run();

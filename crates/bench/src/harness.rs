@@ -25,36 +25,41 @@ use rambda_workloads::{DlrmProfile, TxnSpec};
 
 use crate::Table;
 
-/// The canonical quick-mode design registry: every runner in
-/// [`rambda::designs::RUNNER_NAMES`] mapped to its quick-mode factory.
-///
-/// The framework crate owns the name list but cannot see the application
-/// crates, so this is where the nine factories are installed. The `report`
-/// binary, the bench harness, and the integration test suites all draw
-/// their designs from here, so a new runner lands everywhere by adding it
-/// to `RUNNER_NAMES` and installing its factory below — `is_complete()`
-/// (asserted here) catches a list/registry mismatch at first use.
-pub fn quick_registry() -> rambda::designs::Registry {
+/// The nine quick-mode runners, in canonical report order: the names that
+/// `report --trace-runner` and `--profile-runner` accept and
+/// [`quick_design`] builds.
+pub const RUNNERS: [&str; 9] = [
+    "micro.cpu",
+    "micro.rambda",
+    "kvs.cpu",
+    "kvs.rambda",
+    "kvs.smartnic",
+    "txn.hyperloop",
+    "txn.rambda_tx",
+    "dlrm.cpu",
+    "dlrm.rambda",
+];
+
+/// A fresh quick-mode [`Design`] for the runner `name`, or `None` if `name`
+/// is not one of [`RUNNERS`]. The `report` binary and the integration tests
+/// draw their designs from here.
+pub fn quick_design(name: &str) -> Option<Design> {
     use rambda_dlrm::{DlrmDesigns, DlrmParams};
     use rambda_kvs::{KvsDesigns, KvsParams};
     use rambda_txn::{TxnDesigns, TxnParams};
     let books = || DlrmProfile::by_name("Books").expect("Books DLRM profile exists");
-    let mut reg = rambda::designs::Registry::new();
-    reg.install("micro.cpu", || Design::micro_cpu(micro::MicroParams::quick(), 8, 16));
-    reg.install("micro.rambda", || {
-        Design::micro_rambda(micro::MicroParams::quick(), DataLocation::HostDram, true, 1)
-    });
-    reg.install("kvs.cpu", || Design::kvs_cpu(KvsParams::quick()));
-    reg.install("kvs.rambda", || Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram));
-    reg.install("kvs.smartnic", || Design::kvs_smartnic(KvsParams::quick()));
-    reg.install("txn.hyperloop", || Design::txn_hyperloop(TxnParams::quick(TxnSpec::read_write(64))));
-    reg.install("txn.rambda_tx", || Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64))));
-    reg.install("dlrm.cpu", move || Design::dlrm_cpu(DlrmParams::quick(books()), 8));
-    reg.install("dlrm.rambda", move || {
-        Design::dlrm_rambda(DlrmParams::quick(books()), DataLocation::HostDram)
-    });
-    assert!(reg.is_complete(), "quick registry must cover every runner in RUNNER_NAMES");
-    reg
+    Some(match name {
+        "micro.cpu" => Design::micro_cpu(micro::MicroParams::quick(), 8, 16),
+        "micro.rambda" => Design::micro_rambda(micro::MicroParams::quick(), DataLocation::HostDram, true, 1),
+        "kvs.cpu" => Design::kvs_cpu(KvsParams::quick()),
+        "kvs.rambda" => Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram),
+        "kvs.smartnic" => Design::kvs_smartnic(KvsParams::quick()),
+        "txn.hyperloop" => Design::txn_hyperloop(TxnParams::quick(TxnSpec::read_write(64))),
+        "txn.rambda_tx" => Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64))),
+        "dlrm.cpu" => Design::dlrm_cpu(DlrmParams::quick(books()), 8),
+        "dlrm.rambda" => Design::dlrm_rambda(DlrmParams::quick(books()), DataLocation::HostDram),
+        _ => return None,
+    })
 }
 
 /// Per-sweep regression budget applied by [`compare`].
@@ -515,6 +520,15 @@ fn get_u64_arr(j: &Json, key: &str) -> Result<Vec<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_runner_has_a_quick_design_of_its_name() {
+        for name in RUNNERS {
+            assert_eq!(quick_design(name).map(|d| d.name()), Some(name));
+        }
+        assert!(quick_design("kvs.bogus").is_none());
+        assert!(quick_design("all").is_none());
+    }
 
     fn tiny_sweep() -> SweepResult {
         SweepResult {

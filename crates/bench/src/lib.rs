@@ -11,7 +11,7 @@
 
 pub mod harness;
 
-pub use harness::quick_registry;
+pub use harness::{quick_design, RUNNERS};
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]

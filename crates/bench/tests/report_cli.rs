@@ -23,6 +23,12 @@ fn unknown_runner_fails_fast_with_listing() {
             assert!(err.contains(runner), "listing missing {runner}: {err}");
         }
         assert!(!Path::new(&dir).exists(), "fail-fast must not create the {mode} dir");
+        // The `all` wildcard passes the check, so the run stops at the next
+        // fail-fast rule instead.
+        let out = report(&["--trace", &dir, "--profile", &dir, flag, "all"]);
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("mutually exclusive") && !err.contains("unknown runner"), "{err}");
     }
 }
 

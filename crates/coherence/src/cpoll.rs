@@ -1,31 +1,16 @@
-//! The cpoll checker (Fig. 3).
+//! The cpoll checker's region rule (Fig. 3).
 //!
 //! During initialization the framework allocates the request buffers (or the
 //! pointer buffer, at scale) in one contiguous *cpoll region* and registers
-//! it with the checker in the accelerator's coherence controller. When a
-//! coherence invalidation hits the region, the checker dispatches it to the
-//! right ring by simple address arithmetic — which is why monitoring a
-//! single region is "trivially scalable".
+//! it with the checker in the accelerator's coherence controller, which pins
+//! it in the local cache. An invalidation inside the region then maps to its
+//! ring by simple address arithmetic — which is why monitoring a single
+//! region is "trivially scalable". The designs charge that discovery as
+//! timing only ([`Notifier::Cpoll`](crate::Notifier::Cpoll)); this module
+//! keeps the registration rule (local-cache capacity, overlap, ring
+//! geometry) that decides between pinned rings and the pointer buffer.
 
-use serde::{Deserialize, Serialize};
-
-use crate::mesi::{CoherenceEvent, LineAddr};
-
-/// Identifies a registered cpoll region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RegionId(pub u32);
-
-/// A notification produced by the checker: "ring `ring` of region `region`
-/// received new data".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Notification {
-    /// The registered region the write fell into.
-    pub region: RegionId,
-    /// The ring (connection) index within the region.
-    pub ring: usize,
-    /// The precise line that changed.
-    pub line: LineAddr,
-}
+use std::ops::Range;
 
 /// Errors from region registration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,48 +46,29 @@ impl std::fmt::Display for CpollError {
 
 impl std::error::Error for CpollError {}
 
-#[derive(Debug, Clone)]
-struct Region {
-    id: RegionId,
-    base: u64,
-    bytes: u64,
-    ring_bytes: u64,
-}
-
 /// The cpoll checker in the accelerator coherence controller's datapath.
 ///
 /// ```
-/// use rambda_coherence::{CpollChecker, LineAddr};
+/// use rambda_coherence::{CpollChecker, CpollError};
 ///
-/// // 64 KB of pinnable cache; register 4 rings of 1 KB each at base 0x1000.
+/// // 64 KB of pinnable cache: 16 rings of 1 KB fit, 16 rings of 1 MB do not.
 /// let mut checker = CpollChecker::new(64 * 1024);
-/// let region = checker.register(0x1000, 4 * 1024, 1024).unwrap();
-/// let n = checker.dispatch_line(LineAddr::containing(0x1000 + 2 * 1024 + 64)).unwrap();
-/// assert_eq!(n.region, region);
-/// assert_eq!(n.ring, 2);
+/// checker.register(0x1000, 16 * 1024, 1024).unwrap();
+/// let err = checker.register(1 << 30, 16 << 20, 1 << 20).unwrap_err();
+/// assert!(matches!(err, CpollError::CacheOverflow { .. }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CpollChecker {
     cache_capacity: u64,
     pinned_bytes: u64,
-    regions: Vec<Region>,
-    next_id: u32,
-    signals_seen: u64,
-    signals_dispatched: u64,
+    regions: Vec<Range<u64>>,
 }
 
 impl CpollChecker {
     /// Creates a checker backed by `cache_capacity` bytes of pinnable local
     /// cache (64 KB in the prototype, Tab. II).
     pub fn new(cache_capacity: u64) -> Self {
-        CpollChecker {
-            cache_capacity,
-            pinned_bytes: 0,
-            regions: Vec::new(),
-            next_id: 0,
-            signals_seen: 0,
-            signals_dispatched: 0,
-        }
+        CpollChecker { cache_capacity, pinned_bytes: 0, regions: Vec::new() }
     }
 
     /// Registers a contiguous cpoll region of `bytes` at `base`, divided
@@ -116,7 +82,7 @@ impl CpollChecker {
     /// * [`CpollError::Overlap`] if the region overlaps an existing one.
     /// * [`CpollError::BadGeometry`] if `ring_bytes` is zero or does not
     ///   divide `bytes`.
-    pub fn register(&mut self, base: u64, bytes: u64, ring_bytes: u64) -> Result<RegionId, CpollError> {
+    pub fn register(&mut self, base: u64, bytes: u64, ring_bytes: u64) -> Result<(), CpollError> {
         if ring_bytes == 0 || bytes == 0 || !bytes.is_multiple_of(ring_bytes) {
             return Err(CpollError::BadGeometry);
         }
@@ -127,93 +93,18 @@ impl CpollChecker {
             });
         }
         let end = base + bytes;
-        if self.regions.iter().any(|r| base < r.base + r.bytes && r.base < end) {
+        if self.regions.iter().any(|r| base < r.end && r.start < end) {
             return Err(CpollError::Overlap);
         }
-        let id = RegionId(self.next_id);
-        self.next_id += 1;
-        self.regions.push(Region { id, base, bytes, ring_bytes });
+        self.regions.push(base..end);
         self.pinned_bytes += bytes;
-        Ok(id)
-    }
-
-    /// Unregisters a region, releasing its pinned cache.
-    pub fn unregister(&mut self, id: RegionId) {
-        if let Some(pos) = self.regions.iter().position(|r| r.id == id) {
-            let r = self.regions.swap_remove(pos);
-            self.pinned_bytes -= r.bytes;
-        }
-    }
-
-    /// Bytes currently pinned in the local cache.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pinned_bytes
-    }
-
-    /// Resolves a changed line to a notification, if it falls in a
-    /// registered region.
-    pub fn dispatch_line(&mut self, line: LineAddr) -> Option<Notification> {
-        self.signals_seen += 1;
-        let addr = line.0;
-        for r in &self.regions {
-            if addr >= r.base && addr < r.base + r.bytes {
-                self.signals_dispatched += 1;
-                return Some(Notification {
-                    region: r.id,
-                    ring: ((addr - r.base) / r.ring_bytes) as usize,
-                    line,
-                });
-            }
-        }
-        None
-    }
-
-    /// Feeds a raw coherence event; only invalidations of the accelerator's
-    /// copies inside registered regions notify.
-    pub fn observe(&mut self, event: &CoherenceEvent) -> Option<Notification> {
-        match event {
-            CoherenceEvent::Invalidated { line, .. } => self.dispatch_line(*line),
-            CoherenceEvent::Downgraded { .. } => None,
-        }
-    }
-
-    /// Coherence signals observed (inside or outside registered regions).
-    pub fn signals_seen(&self) -> u64 {
-        self.signals_seen
-    }
-
-    /// Signals that fell inside a registered region.
-    pub fn signals_dispatched(&self) -> u64 {
-        self.signals_dispatched
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesi::{AgentId, Directory};
-
-    #[test]
-    fn dispatch_maps_address_to_ring() {
-        let mut c = CpollChecker::new(1 << 16);
-        let r = c.register(4096, 8192, 1024).unwrap();
-        for ring in 0..8usize {
-            let line = LineAddr::containing(4096 + ring as u64 * 1024 + 512);
-            let n = c.dispatch_line(line).unwrap();
-            assert_eq!(n.region, r);
-            assert_eq!(n.ring, ring);
-        }
-    }
-
-    #[test]
-    fn out_of_region_lines_do_not_notify() {
-        let mut c = CpollChecker::new(1 << 16);
-        c.register(4096, 1024, 1024).unwrap();
-        assert!(c.dispatch_line(LineAddr(0)).is_none());
-        assert!(c.dispatch_line(LineAddr::containing(4096 + 1024)).is_none());
-        assert_eq!(c.signals_seen(), 2);
-        assert_eq!(c.signals_dispatched(), 0);
-    }
 
     #[test]
     fn cache_capacity_limits_pinning() {
@@ -241,34 +132,5 @@ mod tests {
         let mut c = CpollChecker::new(1 << 20);
         assert_eq!(c.register(0, 1000, 0).unwrap_err(), CpollError::BadGeometry);
         assert_eq!(c.register(0, 1000, 333).unwrap_err(), CpollError::BadGeometry);
-    }
-
-    #[test]
-    fn unregister_releases_cache() {
-        let mut c = CpollChecker::new(4096);
-        let r = c.register(0, 4096, 1024).unwrap();
-        assert_eq!(c.pinned_bytes(), 4096);
-        c.unregister(r);
-        assert_eq!(c.pinned_bytes(), 0);
-        c.register(0, 4096, 2048).unwrap();
-    }
-
-    #[test]
-    fn end_to_end_with_directory() {
-        // Accelerator owns the ring region; an RNIC DMA write produces an
-        // invalidation that the checker turns into a ring notification.
-        let mut dir = Directory::new();
-        let mut c = CpollChecker::new(1 << 16);
-        c.register(0, 4096, 1024).unwrap();
-        let slot = LineAddr(2048); // ring 2, entry 0
-        dir.write(AgentId::ACCEL, slot); // pin: accelerator owns the line
-        let events = dir.write(AgentId::IO, slot); // request arrives via DMA
-        let notes: Vec<_> = events.iter().filter_map(|e| c.observe(e)).collect();
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].ring, 2);
-
-        // A downgrade (read) does not notify.
-        let events = dir.read(AgentId::ACCEL, slot);
-        assert!(events.iter().filter_map(|e| c.observe(e)).next().is_none());
     }
 }

@@ -6,26 +6,21 @@
 //! the CPU over the coherent interconnect instead of PCIe. This crate
 //! provides:
 //!
-//! * [`Directory`] — a functional MESI directory tracking line states across
-//!   agents (CPU, accelerator, I/O), emitting the invalidation signals cpoll
-//!   snoops on;
-//! * [`CpollChecker`] — the checker sitting in the accelerator coherence
-//!   controller's datapath (Fig. 3): registered contiguous regions, address
-//!   → ring dispatch, pinned-cache-region capacity accounting;
 //! * [`CcInterconnect`] — the UPI/CXL link model (Tab. II: 20.8 GB/s, one
 //!   hop to the CPU);
 //! * [`Notifier`] — cpoll vs spin-polling notification cost model used by
-//!   the Fig. 7 ablation.
+//!   the Fig. 7 ablation;
+//! * [`CpollChecker`] — the cpoll region's registration rule in the
+//!   accelerator coherence controller (Fig. 3): pinned-cache-region
+//!   capacity, overlap and ring geometry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cpoll;
 mod interconnect;
-mod mesi;
 mod notify;
 
-pub use cpoll::{CpollChecker, CpollError, Notification, RegionId};
+pub use cpoll::{CpollChecker, CpollError};
 pub use interconnect::{CcConfig, CcInterconnect};
-pub use mesi::{AgentId, CoherenceEvent, Directory, LineAddr, LineState};
 pub use notify::{Notifier, NotifyCost};

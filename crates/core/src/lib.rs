@@ -38,7 +38,6 @@ mod driver;
 mod machine;
 
 pub mod cpu;
-pub mod designs;
 pub mod micro;
 mod report;
 pub mod sim;

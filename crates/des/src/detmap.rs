@@ -1,20 +1,20 @@
-//! Deterministic-iteration hash containers.
+//! A deterministic-iteration hash map.
 //!
 //! `std::collections::HashMap` iterates in a per-process random order, which
 //! must never reach simulation state or run reports (analyzer rule R1,
 //! DESIGN.md §8). Simulation crates normally use `BTreeMap`/`BTreeSet`; when
-//! a hot path genuinely wants O(1) point lookups, [`DetHashMap`] /
-//! [`DetHashSet`] are the sanctioned alternative: hash-backed storage whose
-//! *only* iteration APIs sort by key first, so iteration order can never
-//! depend on hasher seeds or insertion history.
+//! a hot path genuinely wants O(1) point lookups, [`DetHashMap`] is the
+//! sanctioned alternative: hash-backed storage whose *only* iteration APIs
+//! sort by key first, so iteration order can never depend on hasher seeds
+//! or insertion history.
 //!
 //! The wrapper is deliberately narrow — point access is constant-time, every
 //! traversal is `O(n log n)` and allocates. If a structure is traversed more
 //! than it is probed, use a B-tree instead.
 
-// The one allowlisted HashMap/HashSet use in the simulation crates: this
-// module is the wrapper rule R1 points violators at (xtask/analyze.allow).
-use std::collections::{HashMap, HashSet};
+// The one allowlisted HashMap use in the simulation crates: this module is
+// the wrapper rule R1 points violators at (xtask/analyze.allow).
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A hash map whose iteration is always key-sorted.
@@ -112,63 +112,6 @@ impl<K: Eq + Hash + Ord, V> FromIterator<(K, V)> for DetHashMap<K, V> {
     }
 }
 
-/// A hash set whose iteration is always sorted.
-#[derive(Debug, Clone, Default)]
-pub struct DetHashSet<T> {
-    inner: HashSet<T>,
-}
-
-impl<T: Eq + Hash + Ord> DetHashSet<T> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        DetHashSet { inner: HashSet::new() }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Inserts `value`; returns whether it was newly added.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.inner.insert(value)
-    }
-
-    /// Whether `value` is present.
-    pub fn contains(&self, value: &T) -> bool {
-        self.inner.contains(value)
-    }
-
-    /// Removes `value`; returns whether it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.inner.remove(value)
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.inner.clear()
-    }
-
-    /// Iterates elements in ascending order (the only iteration order this
-    /// container offers).
-    pub fn iter_sorted(&self) -> impl Iterator<Item = &T> {
-        let mut elems: Vec<&T> = self.inner.iter().collect();
-        elems.sort();
-        elems.into_iter()
-    }
-}
-
-impl<T: Eq + Hash + Ord> FromIterator<T> for DetHashSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        DetHashSet { inner: iter.into_iter().collect() }
-    }
-}
-
 /// Builds a [`DetHashMap`] from `key => value` pairs.
 ///
 /// ```
@@ -218,18 +161,6 @@ mod tests {
         assert_eq!(keys, expect);
         let owned: Vec<u64> = m.clone().into_iter_sorted().map(|(k, _)| k).collect();
         assert_eq!(owned, expect);
-    }
-
-    #[test]
-    fn set_ops_and_sorted_iteration() {
-        let mut s: DetHashSet<i32> = [5, -1, 3].into_iter().collect();
-        assert!(s.insert(4));
-        assert!(!s.insert(4));
-        assert!(s.contains(&-1));
-        assert!(s.remove(&5));
-        assert_eq!(s.iter_sorted().copied().collect::<Vec<_>>(), vec![-1, 3, 4]);
-        s.clear();
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`SampleClock`] — a deterministic periodic grid for time-series
 //!   sampling (the flight recorder's counter samplers tick on it).
 //! * [`SimRng`] — a seeded RNG so every experiment is reproducible.
-//! * [`DetHashMap`] / [`DetHashSet`] — hash containers whose iteration is
-//!   always key-sorted (rule R1's escape hatch for O(1)-lookup hot paths).
+//! * [`DetHashMap`] — a hash map whose iteration is always key-sorted
+//!   (rule R1's escape hatch for O(1)-lookup hot paths).
 //!
 //! Queueing delay — and therefore tail latency — *emerges* from contention on
 //! `Server`/`Link` resources rather than being assumed.
@@ -48,7 +48,7 @@ mod rng;
 mod sampler;
 mod time;
 
-pub use detmap::{DetHashMap, DetHashSet};
+pub use detmap::DetHashMap;
 pub use hist::Histogram;
 pub use queue::{EventCoreStats, EventKind, EventQueue, KindStats};
 pub use resource::{Link, Server, Throttle, Transfer};

@@ -3,7 +3,7 @@
 //! MERCI clusters correlated items and memoizes the partial sums of item
 //! groups that co-occur. We implement the pair-clustered form: items `2p`
 //! and `2p+1` form cluster `p`; memoization tables sized at 0.25× the
-//! embedding table hold the precomputed sums of the *hottest quarter* of
+//! embedding table hold the precomputed sums of the *hottest half* of the
 //! pairs (our Zipf samplers make low ids hot, so that is simply
 //! `p < rows/4`). A reduction plan replaces every memoized co-occurring
 //! pair with a single memo-table read — fewer memory accesses for the same
@@ -25,7 +25,7 @@ pub struct MemoTable {
 }
 
 impl MemoTable {
-    /// Builds the memo table over the hottest quarter of pairs, giving a
+    /// Builds the memo table over the hottest half of the pairs, giving a
     /// memory footprint of 0.25× the embedding table.
     pub fn build(table: &EmbeddingTable) -> Self {
         let pairs = (table.len() / 2) as u32;
@@ -263,11 +263,30 @@ mod tests {
             memoized += plan.memo_pairs.len() * 2;
         }
         let frac = memoized as f64 / base as f64;
-        // Books targets ~0.55 memoized lookups; the emergent rate should be
-        // in the neighbourhood.
+        // Books draws both members of a pair 80 % of the time (`co_occur`),
+        // and its Zipf skew puts 87 % of the features in memoized pairs, so
+        // most lookups collapse into memo reads (0.68 at this seed).
         assert!((0.35..0.75).contains(&frac), "memo fraction={frac}");
         let mean_len = lens as f64 / n as f64;
         let rel = (mean_len - profile.mean_features).abs() / profile.mean_features;
         assert!(rel < 0.25, "mean query length {mean_len}");
+    }
+
+    #[test]
+    fn paper_scale_queries_fit_the_table_and_the_wire_format() {
+        // The sampler every DLRM run uses, at paper scale (Books): each query
+        // is non-empty, stays below the functional row count, and is at most
+        // 513 features long (the loop stops at >= 512 and adds one or two per
+        // step), which bounds the request ring entries (DESIGN.md §1).
+        let profile = DlrmProfile::by_name("Books").unwrap();
+        let rows = crate::DlrmParams::paper(profile.clone()).functional_rows;
+        let pair_zipf = Zipf::new(rows as u64 / 2, profile.zipf_theta);
+        let mut rng = SimRng::seed(8);
+        for _ in 0..2_000 {
+            let q = sample_correlated_query(&profile, rows, &pair_zipf, &mut rng);
+            assert!((1..=513).contains(&q.len()), "query length {}", q.len());
+            assert!(q.features.iter().all(|&f| f < rows));
+            assert_eq!(q.wire_bytes(), 8 + 4 * q.len() as u64);
+        }
     }
 }

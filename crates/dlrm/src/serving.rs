@@ -71,8 +71,8 @@ pub struct DlrmParams {
     pub profile: DlrmProfile,
     /// Embedding dimension (64 in Sec. VI-D).
     pub dim: usize,
-    /// Rows in the functional scaled-down model (timing uses real reduction
-    /// plans over these rows; footprints use the profile's full scale).
+    /// Rows in the functional scaled-down model; timing uses real reduction
+    /// plans over these rows.
     pub functional_rows: u32,
     /// Whether MERCI memoization is enabled (the paper reports MERCI; the
     /// native reduction "shows the same trend").

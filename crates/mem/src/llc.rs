@@ -45,12 +45,6 @@ impl Llc {
         self.ddio_enabled
     }
 
-    /// Enables or disables global DDIO (guideline 1 in Sec. III-D is to
-    /// disable it and use TPH per packet instead).
-    pub fn set_ddio_enabled(&mut self, enabled: bool) {
-        self.ddio_enabled = enabled;
-    }
-
     /// Resolves the routing decision for one inbound PCIe write.
     ///
     /// `tph` is the TLP-processing-hint bit of the packet. This is the exact
@@ -98,21 +92,6 @@ impl Llc {
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
-
-    /// Expected LLC hit probability for a core accessing a working set of
-    /// `footprint` bytes uniformly, given `llc_capacity` bytes of cache.
-    ///
-    /// A standard fully-associative approximation: `min(1, capacity /
-    /// footprint)`. The evaluation's KVS footprints (≈7 GB) make this ≈0 for
-    /// both CPU and FPGA caches, matching the paper's observation that the
-    /// distribution does not help CPU/Rambda.
-    pub fn uniform_hit_rate(llc_capacity: u64, footprint: u64) -> f64 {
-        if footprint == 0 {
-            1.0
-        } else {
-            (llc_capacity as f64 / footprint as f64).min(1.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,22 +131,5 @@ mod tests {
         llc.inject(50);
         llc.consume(500);
         assert_eq!(llc.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn uniform_hit_rate_bounds() {
-        assert_eq!(Llc::uniform_hit_rate(100, 0), 1.0);
-        assert_eq!(Llc::uniform_hit_rate(100, 50), 1.0);
-        assert!((Llc::uniform_hit_rate(100, 200) - 0.5).abs() < 1e-12);
-        assert!(Llc::uniform_hit_rate(27_500_000, 7_000_000_000) < 0.005);
-    }
-
-    #[test]
-    fn ddio_toggle() {
-        let mut llc = Llc::new(false, 10);
-        assert_eq!(llc.route(false), DmaRoute::Memory);
-        llc.set_ddio_enabled(true);
-        assert!(llc.ddio_enabled());
-        assert_eq!(llc.route(false), DmaRoute::Llc);
     }
 }

@@ -92,12 +92,6 @@ pub fn kop_per_watt(ops_per_sec: f64, watts: f64) -> f64 {
     ops_per_sec / 1000.0 / watts
 }
 
-/// Energy in joules for `ops` operations at `ops_per_sec` under `watts`.
-pub fn energy_joules(ops: u64, ops_per_sec: f64, watts: f64) -> f64 {
-    assert!(ops_per_sec > 0.0, "throughput must be positive");
-    ops as f64 / ops_per_sec * watts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +126,6 @@ mod tests {
     #[test]
     fn kop_per_watt_math() {
         assert!((kop_per_watt(1_000_000.0, 10.0) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_math() {
-        // 1M ops at 1Mops/s under 50W = 50 J.
-        assert!((energy_joules(1_000_000, 1.0e6, 50.0) - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,29 +1,23 @@
 //! DLRM query workloads: six Amazon-Review dataset stand-ins (Sec. VI-D).
 //!
 //! The real datasets are review logs; what the evaluation depends on is
-//! (1) the embedding-table size, (2) the query length ("pooling factor")
-//! distribution, and (3) how much of the lookup traffic MERCI's memoization
-//! tables absorb (the co-occurrence clustering of each category). Each
-//! profile captures those three quantities, calibrated to the ranges the
-//! MERCI paper reports for the same six categories.
+//! (1) the query length ("pooling factor") distribution, (2) the popularity
+//! skew of item accesses, and (3) the co-occurrence clustering of each
+//! category, which decides how much of the lookup traffic MERCI's
+//! memoization tables absorb. Each profile captures those three quantities,
+//! calibrated to the ranges the MERCI paper reports for the same six
+//! categories. Queries are sampled by `rambda_dlrm`'s MERCI module over a
+//! scaled-down functional table.
 
-use rambda_des::SimRng;
 use serde::{Deserialize, Serialize};
-
-use crate::zipf::Zipf;
 
 /// A dataset profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DlrmProfile {
     /// Dataset name as the paper abbreviates it.
     pub name: &'static str,
-    /// Embedding-table rows (items in the category).
-    pub rows: u64,
     /// Mean features per query (pooling factor).
     pub mean_features: f64,
-    /// Fraction of feature lookups absorbed by MERCI memoization tables
-    /// built at 0.25× the embedding size.
-    pub memo_hit: f64,
     /// Popularity skew of item accesses.
     pub zipf_theta: f64,
     /// Probability that a feature's cluster partner co-occurs in the same
@@ -59,102 +53,18 @@ impl DlrmProfile {
     /// The six evaluation datasets, in the paper's Fig. 13 order.
     pub fn all() -> Vec<DlrmProfile> {
         vec![
-            DlrmProfile {
-                name: "Electro.",
-                rows: 5_000_000,
-                mean_features: 40.0,
-                memo_hit: 0.45,
-                zipf_theta: 0.8,
-                co_occur: 0.72,
-            },
-            DlrmProfile {
-                name: "Clothing",
-                rows: 8_000_000,
-                mean_features: 30.0,
-                memo_hit: 0.40,
-                zipf_theta: 0.8,
-                co_occur: 0.65,
-            },
-            DlrmProfile {
-                name: "Home.",
-                rows: 6_000_000,
-                mean_features: 35.0,
-                memo_hit: 0.42,
-                zipf_theta: 0.8,
-                co_occur: 0.68,
-            },
-            DlrmProfile {
-                name: "Books",
-                rows: 15_000_000,
-                mean_features: 80.0,
-                memo_hit: 0.55,
-                zipf_theta: 0.85,
-                co_occur: 0.8,
-            },
-            DlrmProfile {
-                name: "Sports.",
-                rows: 4_000_000,
-                mean_features: 32.0,
-                memo_hit: 0.44,
-                zipf_theta: 0.8,
-                co_occur: 0.7,
-            },
-            DlrmProfile {
-                name: "Office.",
-                rows: 2_500_000,
-                mean_features: 26.0,
-                memo_hit: 0.38,
-                zipf_theta: 0.75,
-                co_occur: 0.62,
-            },
+            DlrmProfile { name: "Electro.", mean_features: 40.0, zipf_theta: 0.8, co_occur: 0.72 },
+            DlrmProfile { name: "Clothing", mean_features: 30.0, zipf_theta: 0.8, co_occur: 0.65 },
+            DlrmProfile { name: "Home.", mean_features: 35.0, zipf_theta: 0.8, co_occur: 0.68 },
+            DlrmProfile { name: "Books", mean_features: 80.0, zipf_theta: 0.85, co_occur: 0.8 },
+            DlrmProfile { name: "Sports.", mean_features: 32.0, zipf_theta: 0.8, co_occur: 0.7 },
+            DlrmProfile { name: "Office.", mean_features: 26.0, zipf_theta: 0.75, co_occur: 0.62 },
         ]
     }
 
     /// Looks a profile up by name.
     pub fn by_name(name: &str) -> Option<DlrmProfile> {
         Self::all().into_iter().find(|p| p.name == name)
-    }
-
-    /// Samples a query: geometric-ish length around the pooling factor
-    /// (queries are diverse — the reason the paper reports throughput only),
-    /// features Zipf-distributed over the rows.
-    pub fn sample_query(&self, zipf: &Zipf, rng: &mut SimRng) -> DlrmQuery {
-        debug_assert_eq!(zipf.n(), self.rows, "sampler must match the profile");
-        // Length: 1 + Geometric(p) with mean = mean_features.
-        let p = 1.0 / self.mean_features.max(1.0);
-        let mut len = 1usize;
-        while !rng.chance(p) && len < 512 {
-            len += 1;
-        }
-        let features = (0..len).map(|_| zipf.sample(rng) as u32).collect();
-        DlrmQuery { features }
-    }
-
-    /// Builds the matching feature sampler.
-    pub fn sampler(&self) -> Zipf {
-        Zipf::new(self.rows, self.zipf_theta)
-    }
-
-    /// Embedding-table bytes at dimension `dim` with f32 entries.
-    pub fn table_bytes(&self, dim: usize) -> u64 {
-        self.rows * dim as u64 * 4
-    }
-
-    /// MERCI memoization-table bytes (0.25× the embedding table, Sec. VI-D).
-    pub fn memo_bytes(&self, dim: usize) -> u64 {
-        self.table_bytes(dim) / 4
-    }
-
-    /// Expected *effective* lookups per query with MERCI memoization:
-    /// memoized groups collapse several lookups into one.
-    pub fn effective_lookups(&self, merci: bool) -> f64 {
-        if merci {
-            // A memo hit covers on average a group of ~2 base lookups with
-            // a single memo-table read.
-            self.mean_features * (1.0 - self.memo_hit) + self.mean_features * self.memo_hit / 2.0
-        } else {
-            self.mean_features
-        }
     }
 }
 
@@ -170,45 +80,5 @@ mod tests {
         assert_eq!(all[3].name, "Books");
         assert!(DlrmProfile::by_name("Books").is_some());
         assert!(DlrmProfile::by_name("Nope").is_none());
-    }
-
-    #[test]
-    fn query_lengths_center_on_pooling_factor() {
-        let p = &DlrmProfile::all()[0];
-        let zipf = p.sampler();
-        let mut rng = SimRng::seed(7);
-        let n = 3000;
-        let total: usize = (0..n).map(|_| p.sample_query(&zipf, &mut rng).len()).sum();
-        let mean = total as f64 / n as f64;
-        let rel_err = (mean - p.mean_features).abs() / p.mean_features;
-        assert!(rel_err < 0.15, "mean={mean}");
-    }
-
-    #[test]
-    fn features_within_rows() {
-        let p = &DlrmProfile::all()[5];
-        let zipf = p.sampler();
-        let mut rng = SimRng::seed(8);
-        for _ in 0..200 {
-            let q = p.sample_query(&zipf, &mut rng);
-            assert!(!q.is_empty());
-            assert!(q.features.iter().all(|&f| (f as u64) < p.rows));
-            assert_eq!(q.wire_bytes(), 8 + 4 * q.len() as u64);
-        }
-    }
-
-    #[test]
-    fn merci_reduces_effective_lookups() {
-        for p in DlrmProfile::all() {
-            assert!(p.effective_lookups(true) < p.effective_lookups(false));
-            assert!(p.effective_lookups(true) > 0.0);
-        }
-    }
-
-    #[test]
-    fn table_sizes() {
-        let p = DlrmProfile::by_name("Books").unwrap();
-        assert_eq!(p.table_bytes(64), 15_000_000 * 256);
-        assert_eq!(p.memo_bytes(64) * 4, p.table_bytes(64));
     }
 }

@@ -8,8 +8,8 @@
 //! * [`TxnSpec`] — the chain-replication transaction shapes of Sec. VI-C
 //!   ((0,1) and (4,2) read/write counts at 64 B / 1024 B values).
 //! * [`DlrmProfile`] — the six Amazon-Review dataset stand-ins of Sec. VI-D
-//!   with per-profile query-length distributions and MERCI memoization hit
-//!   rates.
+//!   with per-profile pooling factors, popularity skews and the feature
+//!   co-occurrence that MERCI's memoization exploits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

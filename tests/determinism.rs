@@ -57,13 +57,11 @@ fn every_runner_report_is_byte_identical_across_runs() {
     // design, including the runners the golden files do not snapshot, so a
     // nondeterministic container sneaking into any simulator state (the
     // analyzer's rule R1 territory) fails here at runtime too.
-    // The canonical quick-mode registry covers every named runner, so this
-    // loop automatically picks up new designs as they are installed.
-    let reg = rambda_bench::quick_registry();
-    assert!(reg.is_complete(), "quick registry must cover every runner");
-    for name in reg.names() {
-        let first = run(reg.design(name).unwrap()).to_json_string();
-        let second = run(reg.design(name).unwrap()).to_json_string();
+    // `RUNNERS` lists every named runner, so this loop picks up new designs
+    // as they are added there.
+    for name in rambda_bench::RUNNERS {
+        let first = run(rambda_bench::quick_design(name).unwrap()).to_json_string();
+        let second = run(rambda_bench::quick_design(name).unwrap()).to_json_string();
         assert_eq!(first, second, "{name}: report JSON differs between identical runs");
     }
 }

@@ -5,16 +5,16 @@
 //! regex over raw source is not good enough. This lexer understands exactly
 //! as much Rust surface syntax as the rules need:
 //!
-//! * line comments (`//`), doc comments (`///`, `//!`) and nested block
-//!   comments (`/* /* */ */`, `/** */`, `/*! */`),
+//! * line comments (`//`, doc comments `///` and `//!` included) and nested
+//!   block comments (`/* /* */ */`, `/** */`, `/*! */`),
 //! * string, byte-string, C-string and raw (`r#"..."#`) string literals,
 //! * character literals vs. lifetimes (`'a'` vs `'a`),
 //! * raw identifiers (`r#match`),
 //! * identifiers, numbers and single-character punctuation.
 //!
 //! Every token carries the 1-based line it starts on so diagnostics can say
-//! `file:line`. Comments are *kept* in the stream (with their text): the
-//! `// SAFETY:` rule needs them.
+//! `file:line`. Comments are kept in the stream; the parser and the rules
+//! skip them with [`Token::is_comment`].
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,16 +23,11 @@ pub enum TokenKind {
     Ident(String),
     /// A single punctuation character (`:`, `#`, `[`, `{`, ...).
     Punct(char),
-    /// A plain `//` comment (text excludes the leading slashes).
+    /// A `//` comment, doc comments included (text excludes the leading
+    /// `//`).
     LineComment(String),
-    /// A `///` (outer) or `//!` (inner) doc comment.
-    DocComment {
-        /// `true` for `//!` / `/*! ... */` (inner), `false` for `///`.
-        inner: bool,
-        /// The comment text without the comment markers.
-        text: String,
-    },
-    /// A `/* ... */` comment (text excludes the delimiters).
+    /// A `/* ... */` comment, doc comments included (text excludes the
+    /// outer `/*` and `*/`).
     BlockComment(String),
     /// A string / byte-string / raw-string literal. The contents are
     /// retained (escapes resolved to the escaped character, raw-string
@@ -54,9 +49,6 @@ pub struct Token {
     pub kind: TokenKind,
     /// 1-based line the token starts on.
     pub line: u32,
-    /// 1-based line the token ends on (differs for multi-line comments and
-    /// strings).
-    pub end_line: u32,
 }
 
 impl Token {
@@ -73,21 +65,10 @@ impl Token {
         self.kind == TokenKind::Punct(c)
     }
 
-    /// Whether this token is a comment of any flavor (line, block or doc).
+    /// Whether this token is a comment (line or block, doc comments
+    /// included).
     pub fn is_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::LineComment(_) | TokenKind::BlockComment(_) | TokenKind::DocComment { .. }
-        )
-    }
-
-    /// The comment text, if this token is a comment of any flavor.
-    pub fn comment_text(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::LineComment(t) | TokenKind::BlockComment(t) => Some(t),
-            TokenKind::DocComment { text, .. } => Some(text),
-            _ => None,
-        }
+        matches!(self.kind, TokenKind::LineComment(_) | TokenKind::BlockComment(_))
     }
 
     /// The literal contents, if this token is a string literal.
@@ -130,64 +111,50 @@ impl Lexer {
     fn run(mut self) -> Vec<Token> {
         let mut out = Vec::new();
         while let Some(c) = self.peek(0) {
-            let start = self.line;
-            match c {
+            let line = self.line;
+            let kind = match c {
                 c if c.is_whitespace() => {
                     self.bump();
+                    continue;
                 }
-                '/' if self.peek(1) == Some('/') => out.push(self.line_comment(start)),
-                '/' if self.peek(1) == Some('*') => out.push(self.block_comment(start)),
-                '"' => {
-                    let text = self.string_lit();
-                    out.push(self.token(TokenKind::StrLit(text), start));
-                }
-                '\'' => out.push(self.char_or_lifetime(start)),
-                'r' if self.raw_string_ahead(0) => {
-                    let text = self.raw_string();
-                    out.push(self.token(TokenKind::StrLit(text), start));
-                }
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
+                '"' => TokenKind::StrLit(self.string_lit()),
+                '\'' => self.char_or_lifetime(),
+                'r' if self.raw_string_ahead(0) => TokenKind::StrLit(self.raw_string()),
                 'b' | 'c' if self.peek(1) == Some('"') => {
                     self.bump(); // prefix
-                    let text = self.string_lit();
-                    out.push(self.token(TokenKind::StrLit(text), start));
+                    TokenKind::StrLit(self.string_lit())
                 }
                 'b' if self.peek(1) == Some('\'') => {
                     self.bump(); // prefix
                     self.bump(); // opening quote
                     self.char_body();
-                    out.push(self.token(TokenKind::CharLit, start));
+                    TokenKind::CharLit
                 }
                 'b' | 'c' if self.peek(1) == Some('r') && self.raw_string_ahead(1) => {
                     self.bump(); // prefix
-                    let text = self.raw_string();
-                    out.push(self.token(TokenKind::StrLit(text), start));
+                    TokenKind::StrLit(self.raw_string())
                 }
                 'r' if self.peek(1) == Some('#') && ident_start(self.peek(2)) => {
                     // Raw identifier r#match.
                     self.bump();
                     self.bump();
-                    let name = self.ident_body();
-                    out.push(self.token(TokenKind::Ident(name), start));
+                    TokenKind::Ident(self.ident_body())
                 }
-                c if ident_start(Some(c)) => {
-                    let name = self.ident_body();
-                    out.push(self.token(TokenKind::Ident(name), start));
-                }
+                c if ident_start(Some(c)) => TokenKind::Ident(self.ident_body()),
                 c if c.is_ascii_digit() => {
                     self.number_body();
-                    out.push(self.token(TokenKind::Number, start));
+                    TokenKind::Number
                 }
                 c => {
                     self.bump();
-                    out.push(self.token(TokenKind::Punct(c), start));
+                    TokenKind::Punct(c)
                 }
-            }
+            };
+            out.push(Token { kind, line });
         }
         out
-    }
-
-    fn token(&self, kind: TokenKind, start: u32) -> Token {
-        Token { kind, line: start, end_line: self.line }
     }
 
     /// `r"`, `r#"`, `r##"` ... at `self.pos + offset` (pointing at the `r`)?
@@ -270,7 +237,7 @@ impl Lexer {
     }
 
     /// Disambiguates `'a'` (char literal) from `'a` (lifetime).
-    fn char_or_lifetime(&mut self, start: u32) -> Token {
+    fn char_or_lifetime(&mut self) -> TokenKind {
         // A lifetime is `'` + ident-start + ident-continue* not followed by a
         // closing `'`. Everything else (`'x'`, `'\n'`, `'\u{1F600}'`) is a
         // char literal.
@@ -283,12 +250,12 @@ impl Lexer {
             if self.peek(i) != Some('\'') {
                 self.bump(); // the quote
                 let name = self.ident_body();
-                return self.token(TokenKind::Lifetime(name), start);
+                return TokenKind::Lifetime(name);
             }
         }
         self.bump(); // the quote
         self.char_body();
-        self.token(TokenKind::CharLit, start)
+        TokenKind::CharLit
     }
 
     fn ident_body(&mut self) -> String {
@@ -321,20 +288,9 @@ impl Lexer {
         }
     }
 
-    fn line_comment(&mut self, start: u32) -> Token {
+    fn line_comment(&mut self) -> TokenKind {
         self.bump();
         self.bump(); // the two slashes
-        let (inner, doc) = match self.peek(0) {
-            Some('/') if self.peek(1) != Some('/') => {
-                self.bump();
-                (false, true)
-            }
-            Some('!') => {
-                self.bump();
-                (true, true)
-            }
-            _ => (false, false),
-        };
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
             if c == '\n' {
@@ -342,25 +298,12 @@ impl Lexer {
             }
             text.push(self.bump().unwrap());
         }
-        let kind = if doc { TokenKind::DocComment { inner, text } } else { TokenKind::LineComment(text) };
-        self.token(kind, start)
+        TokenKind::LineComment(text)
     }
 
-    fn block_comment(&mut self, start: u32) -> Token {
+    fn block_comment(&mut self) -> TokenKind {
         self.bump();
         self.bump(); // "/*"
-        let (inner, doc) = match self.peek(0) {
-            // `/**/` is not a doc comment; `/**x` is.
-            Some('*') if self.peek(1) != Some('/') && self.peek(1) != Some('*') => {
-                self.bump();
-                (false, true)
-            }
-            Some('!') => {
-                self.bump();
-                (true, true)
-            }
-            _ => (false, false),
-        };
         let mut text = String::new();
         let mut depth = 1usize;
         while depth > 0 {
@@ -381,8 +324,7 @@ impl Lexer {
                 Some(c) => text.push(c),
             }
         }
-        let kind = if doc { TokenKind::DocComment { inner, text } } else { TokenKind::BlockComment(text) };
-        self.token(kind, start)
+        TokenKind::BlockComment(text)
     }
 }
 
@@ -409,6 +351,11 @@ mod tests {
         assert_eq!(hm.line, 1);
         let x = toks.iter().find(|t| t.ident() == Some("x")).unwrap();
         assert_eq!(x.line, 2);
+        // A string spanning two lines starts on the first and still counts
+        // both newlines.
+        let toks = lex("let s = \"line one\nline two\";\nfn f() {}");
+        assert_eq!(toks.iter().find(|t| t.str_text().is_some()).unwrap().line, 1);
+        assert_eq!(toks.iter().find(|t| t.ident() == Some("fn")).unwrap().line, 3);
     }
 
     #[test]
@@ -423,21 +370,13 @@ mod tests {
     fn comments_hide_identifiers_but_keep_text() {
         let toks = lex("// HashMap in a comment\nfn f() {}");
         assert!(toks.iter().all(|t| t.ident() != Some("HashMap")));
-        assert!(toks[0].comment_text().unwrap().contains("HashMap"));
+        assert!(matches!(&toks[0].kind, TokenKind::LineComment(t) if t.contains("HashMap")));
         let toks = lex("/* outer /* nested HashMap */ still comment */ fn g() {}");
         assert_eq!(
             toks.iter().filter_map(|t| t.ident()).collect::<Vec<_>>(),
             vec!["fn", "g"],
             "nested block comments must be fully consumed"
         );
-    }
-
-    #[test]
-    fn doc_comments_are_distinguished() {
-        let toks = lex("/// outer doc\n//! inner doc\n// plain\nfn f() {}");
-        assert!(matches!(&toks[0].kind, TokenKind::DocComment { inner: false, .. }));
-        assert!(matches!(&toks[1].kind, TokenKind::DocComment { inner: true, .. }));
-        assert!(matches!(&toks[2].kind, TokenKind::LineComment(_)));
     }
 
     #[test]
@@ -505,20 +444,5 @@ mod tests {
         // Unterminated nesting is tolerated and swallows the rest.
         let toks = lex("/* open /* still open */ fn g() {}");
         assert!(toks.iter().all(|t| t.ident().is_none()));
-    }
-
-    #[test]
-    fn multiline_strings_track_end_lines() {
-        let toks = lex("let s = \"line one\nline two\";\nfn f() {}");
-        let lit = toks.iter().find(|t| t.str_text().is_some()).unwrap();
-        assert_eq!((lit.line, lit.end_line), (1, 2));
-        assert_eq!(toks.iter().find(|t| t.ident() == Some("fn")).unwrap().line, 3);
-    }
-
-    #[test]
-    fn safety_comment_text_is_preserved() {
-        let toks = lex("// SAFETY: exclusive access\nunsafe { work() }");
-        assert!(toks[0].comment_text().unwrap().contains("SAFETY:"));
-        assert!(toks.iter().any(|t| t.ident() == Some("unsafe")));
     }
 }

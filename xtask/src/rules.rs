@@ -310,16 +310,13 @@ fn rule_r1(f: &ParsedFile, out: &mut Vec<Violation>) {
             continue;
         }
         if let Some(name @ ("HashMap" | "HashSet")) = t.ident() {
+            let instead = if name == "HashMap" { "BTreeMap or rambda_des::DetHashMap" } else { "BTreeSet" };
             out.push(Violation {
                 rule: "R1",
                 path: f.rel.clone(),
                 line: t.line,
                 token: name.to_string(),
-                hint: format!(
-                    "iteration order can leak into simulation state; use {} or rambda_des::{}",
-                    if name == "HashMap" { "BTreeMap" } else { "BTreeSet" },
-                    if name == "HashMap" { "DetHashMap" } else { "DetHashSet" },
-                ),
+                hint: format!("iteration order can leak into simulation state; use {instead}"),
             });
         }
     }
